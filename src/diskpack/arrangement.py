@@ -7,13 +7,18 @@ the largest number of distinct translates; repositioning the lattice so that
 point becomes a lattice point yields at least that many lattice points inside
 the union of the disks.
 
-Candidate points are the pairwise intersections of the copies (kept when they
-fall in the cell) plus every copy's wrapped center; each candidate is scored
-by an exact closed-disk recount, which makes the result independent of sweep
-bookkeeping and of degeneracies such as tangencies.  Every arrangement vertex
-inside the cell is the intersection of two generated copies, and an
-intersection-free circle attains its maximum at its (wrapped) center, so this
-candidate set is complete.
+Candidate points are, per copy, the best in-cell point just inside its
+boundary found by an angular sweep (``_cell_sweep_candidates``), plus every
+copy's wrapped center; each candidate is scored by an exact closed-disk
+recount, which makes the result independent of sweep bookkeeping and of
+degeneracies such as tangencies.  Every arrangement face inside the cell is
+bounded by a generated copy, and an intersection-free circle attains its
+maximum at its (wrapped) center, so this candidate set is complete.
+
+The sweep and the recount are NumPy code over chunks of rows (circles or
+candidates) against all k copies.  A chunk's row count comes from the fixed
+byte budget ``_CHUNK_BYTES``, so memory is O(k * chunk) rather than O(k^2);
+the work is still O(k^2) events.
 """
 
 from __future__ import annotations
@@ -29,7 +34,15 @@ from .geometry import EPS, Circle, Point
 from .lattice import Lattice
 from .union_area import DiskSet
 
-_CHUNK_BYTES = 24_000_000
+# byte budget of one row chunk of the sweep and the recount: it keeps peak
+# memory below the old k x k matrices' even at k ~ 200, and larger budgets
+# were not faster for k = 700..7400
+_CHUNK_BYTES = 2_000_000
+# bytes of sweep temporaries alive at once per (row, event column)
+_SWEEP_BYTES_PER_EVENT = 64
+# arc midpoints within this affine distance of a cell edge are re-tested
+# with the scalar expression
+_EDGE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,61 +59,79 @@ class DepthWitness:
     per_translate_counts: Mapping[tuple[int, int], int]
 
 
-def _segment_distance2(px, py, ax, ay, bx, by):
-    dx = bx - ax
-    dy = by - ay
-    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-    qx = ax + t * dx
-    qy = ay + t * dy
-    return (px - qx) ** 2 + (py - qy) ** 2, qx, qy
-
-
-def _cell_closest_point(lattice: Lattice, di: int, dj: int, p: Point):
-    """Distance from p to the closed cell translate (di, dj), and the closest point."""
-    a, b = lattice.affine(p[0], p[1])
-    ra = a - di
-    rb = b - dj
-    if 0.0 <= ra <= 1.0 and 0.0 <= rb <= 1.0:
-        return 0.0, p
-    ox, oy = lattice.point(di, dj)
-    ux, uy = lattice.u
-    vx, vy = lattice.v
-    corners = ((ox, oy), (ox + ux, oy + uy), (ox + ux + vx, oy + uy + vy), (ox + vx, oy + vy))
-    best = None
-    for k in range(4):
-        ax, ay = corners[k]
-        bx, by = corners[(k + 1) % 4]
-        d2, qx, qy = _segment_distance2(p[0], p[1], ax, ay, bx, by)
-        if best is None or d2 < best[0]:
-            best = (d2, qx, qy)
-    return math.sqrt(best[0]), Point(best[1], best[2])
+def _wrap_to_cell(lattice: Lattice, xs: np.ndarray, ys: np.ndarray):
+    """Array form of ``lattice.wrap_to_cell``: wrapped x, y and the cell
+    indices i, j as integral floats."""
+    a, b = lattice.affine_array(xs, ys)
+    i = np.floor(a)
+    j = np.floor(b)
+    fa = a - i
+    fb = b - j
+    for idx, f in ((i, fa), (j, fb)):
+        fold = f >= 1.0  # guard against floating fold-over, as in _frac
+        idx[fold] += 1.0
+        f[fold] -= 1.0
+    wx, wy = lattice.point_from_affine(fa, fb)
+    return wx, wy, i, j
 
 
 def translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[TranslatedCircle]:
-    """One copy of each disk per (half-open) cell translate it intersects."""
+    """One copy of each disk per (half-open) cell translate it intersects.
+
+    Copies are listed disk by disk, each disk's translates in (dj, di) order.
+    All disks are tested against the nine translates around their own cell
+    at once; the arithmetic is the per-disk scalar arithmetic, element-wise.
+    """
     if abs(disks.radius - 1.0) > 1e-9:
         raise InputError("translate_to_cell expects unit disks")
     r = disks.radius
+    pts = disks.centers_array()
+    px, py, i0, j0 = _wrap_to_cell(lattice, pts[:, 0], pts[:, 1])
+    a, b = lattice.affine_array(px, py)
     ux, uy = lattice.u
     vx, vy = lattice.v
-    out: list[TranslatedCircle] = []
-    for idx, c in enumerate(disks.centers):
-        base, (i0, j0) = lattice.wrap_to_cell(c)
-        for dj in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                d, closest = _cell_closest_point(lattice, di, dj, base)
-                if d > r + 1e-12:
-                    continue
-                if d > r - 1e-12 and d > 0.0:
-                    # tangent contact: include only when the touch point
-                    # belongs to the half-open cell
-                    ca, cb = lattice.affine(closest[0], closest[1])
-                    if not (di <= ca < di + 1.0 and dj <= cb < dj + 1.0):
-                        continue
-                center = Point(base[0] - di * ux - dj * vx, base[1] - di * uy - dj * vy)
-                out.append(TranslatedCircle(Circle(center, r), (i0 + di, j0 + dj), idx))
-    return out
+    shifts = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
+    keep = np.empty((len(pts), len(shifts)), dtype=bool)
+    for col, (di, dj) in enumerate(shifts):
+        # distance to the closed cell translate (di, dj) and the closest point
+        ox, oy = lattice.point(di, dj)
+        corners = ((ox, oy), (ox + ux, oy + uy), (ox + ux + vx, oy + uy + vy), (ox + vx, oy + vy))
+        best_d2 = best_qx = best_qy = None
+        for e in range(4):
+            ax, ay = corners[e]
+            bx, by = corners[(e + 1) % 4]
+            ex = bx - ax
+            ey = by - ay
+            t = ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)
+            t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+            qx = ax + t * ex
+            qy = ay + t * ey
+            # float_power calls C pow like Python's ** does; x*x can differ by an ulp
+            d2 = np.float_power(px - qx, 2.0) + np.float_power(py - qy, 2.0)
+            if best_d2 is None:
+                best_d2, best_qx, best_qy = d2, qx, qy
+            else:
+                closer = d2 < best_d2
+                best_d2 = np.where(closer, d2, best_d2)
+                best_qx = np.where(closer, qx, best_qx)
+                best_qy = np.where(closer, qy, best_qy)
+        inside = (0.0 <= a - di) & (a - di <= 1.0) & (0.0 <= b - dj) & (b - dj <= 1.0)
+        d = np.where(inside, 0.0, np.sqrt(best_d2))
+        # tangent contact: include only when the touch point belongs to the
+        # half-open cell
+        ca, cb = lattice.affine_array(best_qx, best_qy)
+        touch_in = (di <= ca) & (ca < di + 1.0) & (dj <= cb) & (cb < dj + 1.0)
+        tangent = (d > r - 1e-12) & (d > 0.0)
+        keep[:, col] = (d <= r + 1e-12) & (~tangent | touch_in)
+    rows, cols = np.nonzero(keep)
+    di, dj = np.array(shifts)[cols].T
+    cx = px[rows] - di * ux - dj * vx
+    cy = py[rows] - di * uy - dj * vy
+    i0 = i0.tolist()
+    j0 = j0.tolist()
+    return [TranslatedCircle(Circle(Point(x, y), r), (int(i0[idx]) + si, int(j0[idx]) + sj), idx)
+            for x, y, idx, si, sj in zip(cx.tolist(), cy.tolist(), rows.tolist(),
+                                         di.tolist(), dj.tolist())]
 
 
 def _pair_intersections(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -141,7 +172,8 @@ def _membership_chunks(cands: np.ndarray, centers: np.ndarray, radii: np.ndarray
     q_all = cands - mid
     col = (c * c).sum(axis=1) - (radii + EPS) ** 2
     k = max(len(centers), 1)
-    chunk = max(1, _CHUNK_BYTES // k)
+    # three float blocks and the bool block are alive at once: ~25 bytes a pair
+    chunk = max(1, _CHUNK_BYTES // (32 * k))
     for base in range(0, len(cands), chunk):
         q = q_all[base:base + chunk]
         qn = (q * q).sum(axis=1)
@@ -174,102 +206,181 @@ def _cell_sweep_candidates(centers: np.ndarray, radii: np.ndarray,
     it from the inside, which is where the distinct-translate count attains
     its maximum; cell-edge crossings are added as arc splits so that every
     evaluated arc midpoint lies in the half-open cell.
+
+    The sweep is array code over chunks of circles (rows) against all k
+    copies, with the row count set by ``_CHUNK_BYTES``, so memory is
+    O(k * chunk) rather than O(k^2).  Per row, the events (two crossing
+    angles per crossed circle, plus the splits) are sorted by angle; a
+    stable sort on the translate group then gives each group's running count
+    as a segmented cumulative sum, whose 0 -> 1 and 1 -> 0 transitions are
+    the +-1 steps of the distinct count on the arcs.  The first in-cell arc
+    of largest count gives the row's point.  Equal angles may be taken in
+    any order: the count after a set of events does not depend on it, and
+    zero-length arcs are skipped.
     """
-    two_pi = 2.0 * math.pi
     k = len(centers)
-    dx = centers[:, 0][None, :] - centers[:, 0][:, None]
-    dy = centers[:, 1][None, :] - centers[:, 1][:, None]
-    dmat = np.hypot(dx, dy)
     ox, oy = lattice.offset
     a0, b0 = lattice.affine(ox, oy)
     a_dx, b_dx = lattice.affine(ox + 1.0, oy)
     a_dy, b_dy = lattice.affine(ox, oy + 1.0)
     gax, gay = a_dx - a0, a_dy - a0
     gbx, gby = b_dx - b0, b_dy - b0
-    grad_a = math.hypot(gax, gay)
-    grad_b = math.hypot(gbx, gby)
-    psi_a = math.atan2(gay, gax)
-    psi_b = math.atan2(gby, gbx)
-
+    edges = (math.hypot(gax, gay), math.atan2(gay, gax),
+             math.hypot(gbx, gby), math.atan2(gby, gbx))
+    rows = max(1, _CHUNK_BYTES // (_SWEEP_BYTES_PER_EVENT * (2 * k + 8)))
     out: list[tuple[float, float]] = []
-    for i in range(k):
-        ri = radii[i]
-        di = dmat[i]
-        coincident = (di == 0.0)
-        near = np.nonzero((di > 0.0) & (di < ri + radii))[0]
-        base = np.bincount(groups[coincident], minlength=n_groups)
+    for lo in range(0, k, rows):
+        out += _sweep_rows(centers, radii, groups, n_groups, lattice, edges,
+                           lo, min(k, lo + rows))
+    return out
 
-        cosv = (ri * ri + di[near] ** 2 - radii[near] ** 2) / (2.0 * ri * di[near])
-        covered_all = cosv < -1.0
-        base = base + np.bincount(groups[near[covered_all]], minlength=n_groups)
-        sel = (cosv >= -1.0) & (cosv <= 1.0)
-        near = near[sel]
-        cosv = cosv[sel]
-        alpha = np.arctan2(dy[i, near], dx[i, near])
-        beta = np.arccos(cosv)
-        ngroups = groups[near]
 
-        # cell-edge crossings split arcs; they carry no count change
-        splits = []
-        ai, bi = lattice.affine(centers[i, 0], centers[i, 1])
-        for val, lim0, grad, psi in ((ai, 0.0, ri * grad_a, psi_a),
-                                     (bi, 0.0, ri * grad_b, psi_b)):
+def _sweep_rows(centers, radii, groups, n_groups, lattice, edges, lo, hi):
+    """``_cell_sweep_candidates`` for the circles lo..hi-1."""
+    two_pi = 2.0 * math.pi
+    k = len(centers)
+    nrow = hi - lo
+    cx = centers[lo:hi, 0]
+    cy = centers[lo:hi, 1]
+    ri = radii[lo:hi, None]
+    dx = centers[:, 0][None, :] - cx[:, None]
+    dy = centers[:, 1][None, :] - cy[:, None]
+    d = np.hypot(dx, dy)
+    near = (d > 0.0) & (d < ri + radii)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosv = (ri * ri + d ** 2 - radii ** 2) / (2.0 * ri * d)
+    # coincident circles and circles containing this one cover every angle
+    full_r, full_c = np.divmod(np.flatnonzero((d == 0.0) | (near & (cosv < -1.0))), k)
+    cross = np.flatnonzero(near & (cosv >= -1.0) & (cosv <= 1.0))
+    cross_r, cross_c = np.divmod(cross, k)
+    cv = np.take(cosv, cross)
+    alpha = np.arctan2(np.take(dy, cross), np.take(dx, cross))
+    beta = np.arccos(cv)
+    del dx, dy, d, near, cosv
+
+    # per (row, group) counts at angle 0; column n_groups collects the
+    # events that carry no count (splits and padding)
+    width = n_groups + 1
+    at_zero = np.cos(alpha) >= cv
+    init = np.bincount(np.concatenate([full_r, cross_r[at_zero]]) * width
+                       + groups[np.concatenate([full_c, cross_c[at_zero]])],
+                       minlength=nrow * width).reshape(nrow, width)
+
+    # event columns: circle c enters at column c and leaves at k + c; the
+    # last 8 columns hold the cell-edge splits; +inf marks no event
+    ang = np.full((nrow, 2 * k + 8), np.inf)
+    enter = cross_r * (2 * k + 8) + cross_c
+    np.put(ang, enter, _mod_two_pi(alpha - beta))
+    np.put(ang, enter + k, _mod_two_pi(alpha + beta))
+    del alpha, beta, cv, enter
+    grad_a, psi_a, grad_b, psi_b = edges
+    for row in range(nrow):
+        col = 2 * k
+        r = radii[lo + row]
+        ai, bi = lattice.affine(cx[row], cy[row])
+        for val, grad, psi in ((ai, r * grad_a, psi_a), (bi, r * grad_b, psi_b)):
             for t in (0.0, 1.0):
                 arg = (t - val) / grad
                 if -1.0 <= arg <= 1.0:
                     da = math.acos(arg)
-                    splits.append((psi + da) % two_pi)
-                    splits.append((psi - da) % two_pi)
+                    ang[row, col] = (psi + da) % two_pi
+                    ang[row, col + 1] = (psi - da) % two_pi
+                    col += 2
+    m = int(np.isfinite(ang).sum(axis=1).max())
+    order = np.argsort(ang, axis=1)[:, :m]
+    ang = _take_rows(ang, order)
+    pad = np.isinf(ang)
+    # the smallest unsigned type lets the stable sort below run as a radix sort
+    col_group = np.concatenate([groups, groups, np.full(8, n_groups)]).astype(
+        np.min_scalar_type(n_groups))
+    col_delta = np.concatenate([np.ones(k, dtype=np.int32), -np.ones(k, dtype=np.int32),
+                                np.zeros(8, dtype=np.int32)])
+    grp = col_group[order]
+    grp[pad] = n_groups
+    delta = col_delta[order]
+    delta[pad] = 0
+    del order
 
-        ev_ang = np.concatenate([np.mod(alpha - beta, two_pi),
-                                 np.mod(alpha + beta, two_pi),
-                                 np.array(splits, dtype=float)])
-        ev_grp = np.concatenate([ngroups, ngroups,
-                                 np.full(len(splits), -1, dtype=ngroups.dtype)])
-        ev_delta = np.concatenate([np.ones(len(near), dtype=np.int8),
-                                   -np.ones(len(near), dtype=np.int8),
-                                   np.zeros(len(splits), dtype=np.int8)])
-        order = np.argsort(ev_ang, kind="stable")
-        angles = ev_ang[order].tolist()
-        grp = ev_grp[order].tolist()
-        delta = ev_delta[order].tolist()
+    # running count of each event's group just after the event: a stable
+    # sort by group keeps angle order within a group, and every crossed
+    # circle enters and leaves once, so a group's events sum to zero and the
+    # cumulative sum over a row restarts at 0 at every group boundary
+    by_grp = np.argsort(grp, axis=1, kind="stable") + _row_offsets(grp)
+    delta = np.take(delta, by_grp)
+    after = np.cumsum(delta, axis=1, dtype=np.int32) + _take_rows(init, np.take(grp, by_grp))
+    step = np.empty((nrow, m), dtype=np.int32)
+    np.put(step, by_grp, (after > 0).astype(np.int32) - (after - delta > 0))
+    del grp, delta, after, by_grp
 
-        counts = base.copy()
-        start_cover = np.cos(alpha) >= cosv  # membership at angle 0
-        np.add.at(counts, ngroups[start_cover], 1)
-        cnt = counts.tolist()
-        c = sum(1 for v in cnt if v > 0)
+    # arc t runs from event t-1 (or angle 0) to event t (or 2*pi)
+    count = np.empty((nrow, m + 1), dtype=np.int32)
+    count[:, 0] = (init[:, :n_groups] > 0).sum(axis=1)
+    np.cumsum(step, axis=1, out=count[:, 1:])
+    count[:, 1:] += count[:, :1]
+    ends = np.empty((nrow, m + 1))
+    ends[:, :m] = np.where(pad, two_pi, ang)
+    ends[:, m] = two_pi
+    starts = np.empty((nrow, m + 1))
+    starts[:, 0] = 0.0
+    starts[:, 1:] = ends[:, :m]
+    score = np.where(ends - starts > 1e-15, count, -1)
+    mids = 0.5 * (starts + ends)
+    # the cell test runs on each row's top-count arcs first; only rows where
+    # none of them lies in the cell test all their arcs
+    best = _best_in_cell(lattice, cx, cy, ri, mids, score,
+                         score == score.max(axis=1, keepdims=True))
+    retry = best < 0
+    if retry.any():
+        best[retry] = _best_in_cell(lattice, cx, cy, ri, mids, score, retry[:, None])[retry]
+    return [_arc_point(cx, cy, ri, mids, row, t) for row, t in enumerate(best.tolist()) if t >= 0]
 
-        best_c = -1
-        best_pt = None
-        cx, cy = centers[i]
-        prev = 0.0
-        for idx in range(len(angles) + 1):
-            ang = angles[idx] if idx < len(angles) else two_pi
-            if c > best_c and ang - prev > 1e-15:
-                mid = 0.5 * (prev + ang)
-                px = cx + ri * math.cos(mid)
-                py = cy + ri * math.sin(mid)
-                a, b = lattice.affine(px, py)
-                if 0.0 <= a < 1.0 and 0.0 <= b < 1.0:
-                    best_c = c
-                    best_pt = (px, py)
-            if idx == len(angles):
-                break
-            g = grp[idx]
-            d = delta[idx]
-            if d == 1:
-                if cnt[g] == 0:
-                    c += 1
-                cnt[g] += 1
-            elif d == -1:
-                cnt[g] -= 1
-                if cnt[g] == 0:
-                    c -= 1
-            prev = ang
-        if best_pt is not None:
-            out.append(best_pt)
-    return out
+
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, idx, axis=1)`` for 2-D arrays, as one flat take."""
+    return np.take(a, idx + _row_offsets(a))
+
+
+def _row_offsets(a: np.ndarray) -> np.ndarray:
+    """Flat index of the first element of each row of a 2-D array, as a column."""
+    return np.arange(len(a))[:, None] * a.shape[1]
+
+
+def _mod_two_pi(x: np.ndarray) -> np.ndarray:
+    """``np.mod(x, 2*pi)`` for x in [-2*pi, 2*pi], without its slow fmod.
+
+    On that range fmod returns x, or x -+ 2*pi exactly (Sterbenz), so both
+    give the same rounded sum; adding 0.0 turns -0.0 into np.mod's +0.0.
+    """
+    two_pi = 2.0 * math.pi
+    return np.where(x < 0.0, x + two_pi, np.where(x >= two_pi, x - two_pi, x)) + 0.0
+
+
+def _best_in_cell(lattice, cx, cy, ri, mids, score, test):
+    """Per row, the first tested arc of largest score whose midpoint lies in
+    the half-open cell, or -1; arcs with a negative score are never taken."""
+    rows, ts = np.nonzero(test & (score >= 0))
+    mid = mids[rows, ts]
+    r = ri[rows, 0]
+    a, b = lattice.affine_array(cx[rows] + r * np.cos(mid), cy[rows] + r * np.sin(mid))
+    inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
+    # NumPy's cos/sin may differ from libm's by an ulp: re-test midpoints
+    # close to a cell edge with the scalar expression that emits the point
+    edge = np.minimum(np.minimum(np.abs(a), np.abs(a - 1.0)),
+                      np.minimum(np.abs(b), np.abs(b - 1.0))) <= _EDGE_BAND
+    for e in np.flatnonzero(edge).tolist():
+        px, py = _arc_point(cx, cy, ri, mids, rows[e], ts[e])
+        a_e, b_e = lattice.affine(px, py)
+        inside[e] = 0.0 <= a_e < 1.0 and 0.0 <= b_e < 1.0
+    kept = np.full(score.shape, -1, dtype=score.dtype)
+    kept[rows[inside], ts[inside]] = score[rows[inside], ts[inside]]
+    best = kept.argmax(axis=1)
+    return np.where(kept[np.arange(len(best)), best] >= 0, best, -1)
+
+
+def _arc_point(cx, cy, ri, mids, row, t):
+    mid = mids[row, t]
+    r = ri[row, 0]
+    return (cx[row] + r * math.cos(mid), cy[row] + r * math.sin(mid))
 
 
 def max_distinct_translate_depth(circles: Sequence[TranslatedCircle],
@@ -279,28 +390,27 @@ def max_distinct_translate_depth(circles: Sequence[TranslatedCircle],
         raise InputError("max_distinct_translate_depth needs at least one circle")
     centers = np.array([tc.circle.center for tc in circles], dtype=float)
     radii = np.array([tc.circle.radius for tc in circles], dtype=float)
-    ids = [tc.translate_id for tc in circles]
+    if not np.isfinite(centers).all():
+        raise InputError("non-finite circle center")
+    try:
+        ids = np.array([tc.translate_id for tc in circles], dtype=np.int64)
+    except OverflowError as exc:
+        raise InputError("translate id does not fit in 64 bits") from exc
 
     # group circles by translate id for the distinct count
-    order = sorted(range(len(ids)), key=lambda t: ids[t])
+    order = np.lexsort((ids[:, 1], ids[:, 0]))
     centers = centers[order]
     radii = radii[order]
-    ids = [ids[t] for t in order]
-    group_starts = [0]
-    for t in range(1, len(ids)):
-        if ids[t] != ids[t - 1]:
-            group_starts.append(t)
-    group_starts = np.array(group_starts, dtype=np.intp)
-    groups = np.empty(len(ids), dtype=np.int64)
-    g = -1
-    for t in range(len(ids)):
-        if t == 0 or ids[t] != ids[t - 1]:
-            g += 1
-        groups[t] = g
+    ids = ids[order]
+    new_group = np.ones(len(ids), dtype=bool)
+    new_group[1:] = (ids[1:] != ids[:-1]).any(axis=1)
+    group_starts = np.flatnonzero(new_group)
+    groups = np.cumsum(new_group) - 1
 
-    sweep_pts = _cell_sweep_candidates(centers, radii, groups, g + 1, lattice)
-    wrapped = [lattice.wrap_to_cell(Point(x, y))[0] for x, y in centers]
-    cands = np.array(sweep_pts + [(p[0], p[1]) for p in wrapped], dtype=float)
+    sweep_pts = _cell_sweep_candidates(centers, radii, groups, len(group_starts), lattice)
+    wx, wy, _, _ = _wrap_to_cell(lattice, centers[:, 0], centers[:, 1])
+    cands = np.concatenate([np.array(sweep_pts, dtype=float).reshape(-1, 2),
+                            np.stack([wx, wy], axis=1)])
 
     counts = _distinct_counts(cands, centers, radii, group_starts)
     best = int(counts.max())
@@ -311,8 +421,8 @@ def max_distinct_translate_depth(circles: Sequence[TranslatedCircle],
     per: dict[tuple[int, int], int] = {}
     lim2 = (radii + EPS) ** 2
     d2 = (centers[:, 0] - point[0]) ** 2 + (centers[:, 1] - point[1]) ** 2
-    for t in np.nonzero(d2 <= lim2)[0]:
-        per[ids[t]] = per.get(ids[t], 0) + 1
+    for i, j in ids[d2 <= lim2].tolist():
+        per[(i, j)] = per.get((i, j), 0) + 1
     return DepthWitness(point, best, per)
 
 

@@ -47,18 +47,6 @@ def _clamp(v: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
-def dist(p: Point, q: Point) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def covers(center: Point, radius: float, p: Point, tol: float = EPS) -> bool:
-    """Closed-disk membership with the package-wide tolerance."""
-    dx = p[0] - center[0]
-    dy = p[1] - center[1]
-    r = radius + tol
-    return dx * dx + dy * dy <= r * r
-
-
 def lens_area(r1: float, r2: float, d: float) -> float:
     """Area of the intersection of two circles with radii r1, r2, centers d apart."""
     require_finite(r1, r2, d, what="lens_area argument")

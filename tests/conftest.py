@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from diskpack import (EPS, SplitMix64, gen_clustered, gen_random,
+from diskpack import (EPS, Circle, DepthWitness, DiskSet, InputError, Point,
+                      SplitMix64, TranslatedCircle, gen_clustered, gen_random,
                       gen_spirograph)
+from diskpack.arrangement import _distinct_counts
+from diskpack.lattice import Lattice
 
 
 def grid_depth_oracle(circles, resolution=900, bbox=None):
@@ -86,3 +90,222 @@ def quick_corpus(count=40, max_n=40, seed=1000):
 @pytest.fixture(scope="session")
 def small_corpus():
     return quick_corpus()
+
+
+# Scalar reference implementations of the arrangement layer.  The array code in
+# diskpack.arrangement must reproduce them bit for bit.
+
+def _segment_distance2(px, py, ax, ay, bx, by):
+    dx = bx - ax
+    dy = by - ay
+    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    qx = ax + t * dx
+    qy = ay + t * dy
+    return (px - qx) ** 2 + (py - qy) ** 2, qx, qy
+
+
+def _cell_closest_point(lattice: Lattice, di: int, dj: int, p: Point):
+    """Distance from p to the closed cell translate (di, dj), and the closest point."""
+    a, b = lattice.affine(p[0], p[1])
+    ra = a - di
+    rb = b - dj
+    if 0.0 <= ra <= 1.0 and 0.0 <= rb <= 1.0:
+        return 0.0, p
+    ox, oy = lattice.point(di, dj)
+    ux, uy = lattice.u
+    vx, vy = lattice.v
+    corners = ((ox, oy), (ox + ux, oy + uy), (ox + ux + vx, oy + uy + vy), (ox + vx, oy + vy))
+    best = None
+    for k in range(4):
+        ax, ay = corners[k]
+        bx, by = corners[(k + 1) % 4]
+        d2, qx, qy = _segment_distance2(p[0], p[1], ax, ay, bx, by)
+        if best is None or d2 < best[0]:
+            best = (d2, qx, qy)
+    return math.sqrt(best[0]), Point(best[1], best[2])
+
+
+def reference_translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[TranslatedCircle]:
+    """Scalar per-disk, per-translate loop that ``translate_to_cell`` replaced."""
+    if abs(disks.radius - 1.0) > 1e-9:
+        raise InputError("translate_to_cell expects unit disks")
+    r = disks.radius
+    ux, uy = lattice.u
+    vx, vy = lattice.v
+    out: list[TranslatedCircle] = []
+    for idx, c in enumerate(disks.centers):
+        base, (i0, j0) = lattice.wrap_to_cell(c)
+        for dj in (-1, 0, 1):
+            for di in (-1, 0, 1):
+                d, closest = _cell_closest_point(lattice, di, dj, base)
+                if d > r + 1e-12:
+                    continue
+                if d > r - 1e-12 and d > 0.0:
+                    # tangent contact: include only when the touch point
+                    # belongs to the half-open cell
+                    ca, cb = lattice.affine(closest[0], closest[1])
+                    if not (di <= ca < di + 1.0 and dj <= cb < dj + 1.0):
+                        continue
+                center = Point(base[0] - di * ux - dj * vx, base[1] - di * uy - dj * vy)
+                out.append(TranslatedCircle(Circle(center, r), (i0 + di, j0 + dj), idx))
+    return out
+
+
+def reference_sweep_candidates(centers: np.ndarray, radii: np.ndarray,
+                               groups: np.ndarray, n_groups: int,
+                               lattice: Lattice) -> list[tuple[float, float]]:
+    """Per-circle Python event loop that ``_cell_sweep_candidates`` replaced.
+
+    Best point per circle boundary by angular sweep, restricted to the cell.
+
+    Walking just inside each circle visits every arrangement face adjacent to
+    it from the inside, which is where the distinct-translate count attains
+    its maximum; cell-edge crossings are added as arc splits so that every
+    evaluated arc midpoint lies in the half-open cell.
+    """
+    two_pi = 2.0 * math.pi
+    k = len(centers)
+    dx = centers[:, 0][None, :] - centers[:, 0][:, None]
+    dy = centers[:, 1][None, :] - centers[:, 1][:, None]
+    dmat = np.hypot(dx, dy)
+    ox, oy = lattice.offset
+    a0, b0 = lattice.affine(ox, oy)
+    a_dx, b_dx = lattice.affine(ox + 1.0, oy)
+    a_dy, b_dy = lattice.affine(ox, oy + 1.0)
+    gax, gay = a_dx - a0, a_dy - a0
+    gbx, gby = b_dx - b0, b_dy - b0
+    grad_a = math.hypot(gax, gay)
+    grad_b = math.hypot(gbx, gby)
+    psi_a = math.atan2(gay, gax)
+    psi_b = math.atan2(gby, gbx)
+
+    out: list[tuple[float, float]] = []
+    for i in range(k):
+        ri = radii[i]
+        di = dmat[i]
+        coincident = (di == 0.0)
+        near = np.nonzero((di > 0.0) & (di < ri + radii))[0]
+        base = np.bincount(groups[coincident], minlength=n_groups)
+
+        cosv = (ri * ri + di[near] ** 2 - radii[near] ** 2) / (2.0 * ri * di[near])
+        covered_all = cosv < -1.0
+        base = base + np.bincount(groups[near[covered_all]], minlength=n_groups)
+        sel = (cosv >= -1.0) & (cosv <= 1.0)
+        near = near[sel]
+        cosv = cosv[sel]
+        alpha = np.arctan2(dy[i, near], dx[i, near])
+        beta = np.arccos(cosv)
+        ngroups = groups[near]
+
+        # cell-edge crossings split arcs; they carry no count change
+        splits = []
+        ai, bi = lattice.affine(centers[i, 0], centers[i, 1])
+        for val, lim0, grad, psi in ((ai, 0.0, ri * grad_a, psi_a),
+                                     (bi, 0.0, ri * grad_b, psi_b)):
+            for t in (0.0, 1.0):
+                arg = (t - val) / grad
+                if -1.0 <= arg <= 1.0:
+                    da = math.acos(arg)
+                    splits.append((psi + da) % two_pi)
+                    splits.append((psi - da) % two_pi)
+
+        ev_ang = np.concatenate([np.mod(alpha - beta, two_pi),
+                                 np.mod(alpha + beta, two_pi),
+                                 np.array(splits, dtype=float)])
+        ev_grp = np.concatenate([ngroups, ngroups,
+                                 np.full(len(splits), -1, dtype=ngroups.dtype)])
+        ev_delta = np.concatenate([np.ones(len(near), dtype=np.int8),
+                                   -np.ones(len(near), dtype=np.int8),
+                                   np.zeros(len(splits), dtype=np.int8)])
+        order = np.argsort(ev_ang, kind="stable")
+        angles = ev_ang[order].tolist()
+        grp = ev_grp[order].tolist()
+        delta = ev_delta[order].tolist()
+
+        counts = base.copy()
+        start_cover = np.cos(alpha) >= cosv  # membership at angle 0
+        np.add.at(counts, ngroups[start_cover], 1)
+        cnt = counts.tolist()
+        c = sum(1 for v in cnt if v > 0)
+
+        best_c = -1
+        best_pt = None
+        cx, cy = centers[i]
+        prev = 0.0
+        for idx in range(len(angles) + 1):
+            ang = angles[idx] if idx < len(angles) else two_pi
+            if c > best_c and ang - prev > 1e-15:
+                mid = 0.5 * (prev + ang)
+                px = cx + ri * math.cos(mid)
+                py = cy + ri * math.sin(mid)
+                a, b = lattice.affine(px, py)
+                if 0.0 <= a < 1.0 and 0.0 <= b < 1.0:
+                    best_c = c
+                    best_pt = (px, py)
+            if idx == len(angles):
+                break
+            g = grp[idx]
+            d = delta[idx]
+            if d == 1:
+                if cnt[g] == 0:
+                    c += 1
+                cnt[g] += 1
+            elif d == -1:
+                cnt[g] -= 1
+                if cnt[g] == 0:
+                    c -= 1
+            prev = ang
+        if best_pt is not None:
+            out.append(best_pt)
+    return out
+
+
+def reference_sweep_inputs(circles: Sequence[TranslatedCircle]):
+    """Circles sorted by translate id, as (centers, radii, ids, group_starts, groups)."""
+    centers = np.array([tc.circle.center for tc in circles], dtype=float)
+    radii = np.array([tc.circle.radius for tc in circles], dtype=float)
+    ids = [tc.translate_id for tc in circles]
+
+    # group circles by translate id for the distinct count
+    order = sorted(range(len(ids)), key=lambda t: ids[t])
+    centers = centers[order]
+    radii = radii[order]
+    ids = [ids[t] for t in order]
+    group_starts = [0]
+    for t in range(1, len(ids)):
+        if ids[t] != ids[t - 1]:
+            group_starts.append(t)
+    group_starts = np.array(group_starts, dtype=np.intp)
+    groups = np.empty(len(ids), dtype=np.int64)
+    g = -1
+    for t in range(len(ids)):
+        if t == 0 or ids[t] != ids[t - 1]:
+            g += 1
+        groups[t] = g
+    return centers, radii, ids, group_starts, groups
+
+
+def reference_max_distinct_translate_depth(circles: Sequence[TranslatedCircle],
+                                           lattice: Lattice) -> DepthWitness:
+    """Scalar grouping and wrapping that ``max_distinct_translate_depth`` replaced."""
+    if not circles:
+        raise InputError("max_distinct_translate_depth needs at least one circle")
+    centers, radii, ids, group_starts, groups = reference_sweep_inputs(circles)
+
+    sweep_pts = reference_sweep_candidates(centers, radii, groups, len(group_starts), lattice)
+    wrapped = [lattice.wrap_to_cell(Point(x, y))[0] for x, y in centers]
+    cands = np.array(sweep_pts + [(p[0], p[1]) for p in wrapped], dtype=float)
+
+    counts = _distinct_counts(cands, centers, radii, group_starts)
+    best = int(counts.max())
+    at_best = cands[counts == best]
+    k = np.lexsort((at_best[:, 1], at_best[:, 0]))[0]
+    point = Point(float(at_best[k, 0]), float(at_best[k, 1]))
+
+    per: dict[tuple[int, int], int] = {}
+    lim2 = (radii + EPS) ** 2
+    d2 = (centers[:, 0] - point[0]) ** 2 + (centers[:, 1] - point[1]) ** 2
+    for t in np.nonzero(d2 <= lim2)[0]:
+        per[ids[t]] = per.get(ids[t], 0) + 1
+    return DepthWitness(point, best, per)

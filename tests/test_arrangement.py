@@ -1,13 +1,19 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
-from diskpack import (Circle, DiskSet, InputError, Point, SplitMix64,
-                      THREE_COLOUR_SIDE, TranslatedCircle, TriLattice,
-                      exact_union_area, gen_random, gen_spirograph, max_depth,
+from diskpack import (Circle, DiskSet, InputError, ONE_COLOUR_SIDE, Point,
+                      SplitMix64, SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
+                      TranslatedCircle, TriLattice, exact_union_area, gen_chain,
+                      gen_random, gen_spirograph, max_depth,
                       max_distinct_translate_depth, translate_to_cell)
-from conftest import grid_depth_oracle, grid_distinct_oracle
+from diskpack.arrangement import _cell_sweep_candidates, _mod_two_pi, _wrap_to_cell
+from conftest import (grid_depth_oracle, grid_distinct_oracle, quick_corpus,
+                      reference_max_distinct_translate_depth,
+                      reference_sweep_candidates, reference_sweep_inputs,
+                      reference_translate_to_cell)
 
 
 LAT = TriLattice(THREE_COLOUR_SIDE)
@@ -104,6 +110,74 @@ class TestMaxDistinctTranslateDepth:
         w2 = max_distinct_translate_depth(list(reversed(copies)), LAT)
         assert w1.point == w2.point
         assert w1.distinct_translates == w2.distinct_translates
+
+
+    def test_mixed_radii_against_grid_oracle(self):
+        # nested circles of different radii (a contained circle never crosses
+        # its container), a centre shared by two translates and an exact
+        # external tangency (1.5 + 0.75 == 2.25)
+        tcs = [TranslatedCircle(Circle(Point(1.0, 1.0), 1.5), (0, 0), 0),
+               TranslatedCircle(Circle(Point(1.0, 1.0), 0.5), (1, 0), 1),
+               TranslatedCircle(Circle(Point(1.25, 1.0), 0.25), (0, 1), 2),
+               TranslatedCircle(Circle(Point(1.2, 1.1), 0.3), (2, 2), 3),
+               TranslatedCircle(Circle(Point(3.25, 1.0), 0.75), (3, 0), 4),
+               TranslatedCircle(Circle(Point(0.5, 0.25), 2.0), (0, 0), 5)]
+        w = max_distinct_translate_depth(tcs, LAT)
+        assert w.distinct_translates == 4
+        assert w.distinct_translates == grid_distinct_oracle(tcs, LAT, resolution=400)
+        ref = reference_max_distinct_translate_depth(tcs, LAT)
+        assert (w.point, w.distinct_translates) == (ref.point, ref.distinct_translates)
+
+
+def _exactness_corpus():
+    fold = DiskSet(1.0, (Point(-1e-300, 0.0), Point(-1e-17, 0.5), Point(0.0, -1e-300)))
+    dup = gen_random(12, 5.0, 9)
+    return (quick_corpus(120, 60, 77)
+            + [gen_spirograph(30, eps) for eps in (1e-9, 0.01, 0.3, 0.99)]
+            + [DiskSet(1.0, dup.centers * 3), gen_chain(12, 2.0), gen_chain(9, 2.0, Point(0.1, 0.3)),
+               DiskSet(1.0, (Point(3.0, 1.7),)), fold])
+
+
+@pytest.mark.parametrize("lattice", [TriLattice(THREE_COLOUR_SIDE), TriLattice(ONE_COLOUR_SIDE),
+                                     SquareLattice(TWO_COLOUR_SIDE)],
+                         ids=["tri3", "tri1", "square2"])
+def test_array_code_matches_scalar_reference(lattice):
+    for ds in _exactness_corpus():
+        copies = translate_to_cell(ds, lattice)
+        assert copies == reference_translate_to_cell(ds, lattice)
+        centers, radii, _, group_starts, groups = reference_sweep_inputs(copies)
+        args = (centers, radii, groups, len(group_starts), lattice)
+        assert _cell_sweep_candidates(*args) == reference_sweep_candidates(*args)
+        w = max_distinct_translate_depth(copies, lattice)
+        ref = reference_max_distinct_translate_depth(copies, lattice)
+        assert w.point == ref.point
+        assert w.distinct_translates == ref.distinct_translates
+        assert w.per_translate_counts == ref.per_translate_counts
+
+
+def test_wrap_to_cell_array_matches_scalar():
+    pts = [(-1e-300, 0.0), (0.0, -1e-300), (-1e-17, 0.5), (1e12, -3e11), (4.0, 2.0 * math.sqrt(3.0)),
+           (2.8284271247461903, 5.656854249492381), (-0.0, -0.0), (7.3, -2.1)]
+    for lattice in (TriLattice(THREE_COLOUR_SIDE), TriLattice(ONE_COLOUR_SIDE, Point(0.3, -0.2)),
+                    SquareLattice(TWO_COLOUR_SIDE)):
+        xs = np.array([p[0] for p in pts])
+        ys = np.array([p[1] for p in pts])
+        wx, wy, i, j = _wrap_to_cell(lattice, xs, ys)
+        got = [((x, y), (int(a), int(b)))
+               for x, y, a, b in zip(wx.tolist(), wy.tolist(), i.tolist(), j.tolist())]
+        assert got == [lattice.wrap_to_cell(Point(*p)) for p in pts]
+
+
+def test_mod_two_pi_matches_np_mod():
+    two_pi = 2.0 * math.pi
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-two_pi, two_pi, 100_000),
+                        [-two_pi, -math.pi, -1e-300, -0.0, 0.0, 1e-300, math.pi, two_pi,
+                         np.nextafter(-math.pi, 0.0), np.nextafter(two_pi, 0.0)]])
+    got = _mod_two_pi(x)
+    want = np.mod(x, two_pi)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestMaxDepth:
