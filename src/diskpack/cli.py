@@ -1,8 +1,6 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure.
-The environment variable DISKPACK_THREADS caps worker threads used by the
-weighted solver's offset search (default 1).
 """
 
 from __future__ import annotations

@@ -6,28 +6,39 @@ sublattice distance minus two disk radii is at least the disjointness
 threshold for every lattice used here.  Coverage reports carry both the true
 union area of the selection and the per-cell accounting that underlies the
 guarantees.
+
+All four lattice solvers (basic3, rado1, square2, weighted3) select through
+one array routine, ``_select_cells``: for an array of lattice offsets it
+keeps, at every lattice point inside the union, the covering disk with the
+largest overlap with the point's Voronoi cell.  A unit disk holds at most one
+point of these lattices, so each disk tests four candidate points and the
+cost is O(offsets * n), whatever the bounding box.  The positioned solvers
+call it with one offset; the weighted solver with every candidate offset, in
+chunks of rows sized by ``_CHUNK_BYTES``, then once more at the winner.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .arrangement import max_distinct_translate_depth, translate_to_cell
+from .arrangement import (_pair_intersections, _wrap_to_cell,
+                          max_distinct_translate_depth, translate_to_cell)
 from .bounds import bound_table, kcolour_guarantee, alpha_k
 from .errors import InputError, VerificationError
-from .geometry import Circle, EPS, Point, circle_polygon_intersection_area
-from .lattice import (LatticePoint, LoeschianColouring, SquareLattice, TriLattice,
+from .geometry import EPS, SQRT3, Point, _edge_disk_area_array
+from .lattice import (Lattice, LoeschianColouring, SquareLattice, TriLattice,
                       ONE_COLOUR_SIDE, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       loeschian_decompose)
 from .union_area import DiskSet, exact_union_area
 
-THREADS_ENV = "DISKPACK_THREADS"
+# byte budget of one chunk of offsets in the weighted solver's search; one
+# (offset, disk) pair holds about _PAIR_BYTES of selection temporaries
+_CHUNK_BYTES = 2_000_000
+_PAIR_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -96,37 +107,158 @@ def _empty_result(method: str, k: int) -> tuple[Assignment, CoverageReport]:
     return assignment, report
 
 
-def _covering_disks(disks: DiskSet, p: Point) -> list[int]:
-    lim = (disks.radius + EPS) ** 2
-    return [i for i, c in enumerate(disks.centers)
-            if (c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2 <= lim]
+class _Selection(NamedTuple):
+    """Result of ``_select_cells``.
+
+    Per offset row: ``weights`` (summed cell overlap of the chosen disks) and
+    ``hits`` (lattice points inside the union).  Per pick, sorted by (row, j,
+    i): the lattice point (i, j), the chosen disk and its cell overlap.
+    """
+
+    weights: np.ndarray
+    hits: np.ndarray
+    row: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    disk: np.ndarray
+    area: np.ndarray
 
 
-def _select_by_cell_overlap(disks: DiskSet, lattice, points: Sequence[LatticePoint],
-                            cell_polygon: Callable[[LatticePoint], Sequence[Point]],
-                            colour_of: Callable[[LatticePoint], int]):
-    """Pick, for every lattice point inside the union, the containing disk with
-    the largest intersection with the point's cell (lowest index on ties)."""
+def _cell_vertices(kind: str, side: float) -> tuple[np.ndarray, np.ndarray]:
+    """Voronoi cell vertices relative to their lattice point, counterclockwise,
+    as ``RegularHexagon.vertices`` and ``SquareLattice.voronoi_cell`` give them."""
+    if kind == "triangular":
+        rad = side / SQRT3
+        angles = [math.pi / 6.0 + k * math.pi / 3.0 for k in range(6)]
+        return (np.array([rad * math.cos(t) for t in angles]),
+                np.array([rad * math.sin(t) for t in angles]))
+    h = side / 2.0
+    return np.array([-h, h, h, -h]), np.array([-h, -h, h, h])
+
+
+# Every positioned lattice side (THREE_COLOUR_SIDE, ONE_COLOUR_SIDE,
+# TWO_COLOUR_SIDE) exceeds 2 * (r + EPS) for the unit disks translate_to_cell
+# admits (|r - 1| <= 1e-9), so a disk holds at most one lattice point.  That
+# point is one of the 2 x 2 lattice points around the floor of the disk
+# centre's affine coordinates, because the disk spans less than one unit of
+# each affine coordinate.
+def _select_cells(disks: DiskSet, kind: str, side: float,
+                  ox: np.ndarray, oy: np.ndarray) -> _Selection:
+    """For the lattice of this kind and side at each offset (ox[t], oy[t]):
+    every lattice point inside the union keeps the covering disk with the
+    largest overlap with its Voronoi cell (lowest index on ties within 1e-12).
+
+    Cost is O(offsets * n), independent of the bounding-box area.  The
+    arithmetic repeats the scalar per-point scan it replaced operation for
+    operation, so the results are equal bit for bit.
+    """
+    m = len(ox)
+    n = len(disks)
+    r = disks.radius
+    centers = disks.centers_array()
+    cx = centers[:, 0][:, None]
+    cy = centers[:, 1][:, None]
+    tri = kind == "triangular"
+    step_y = side * SQRT3 / 2.0 if tri else side
+
+    # one entry per (offset, disk, candidate lattice point), flattened
+    ox3 = ox[:, None, None]
+    oy3 = oy[:, None, None]
+    b = (cy - oy3) / step_y
+    a = (cx - ox3) / side - b / 2.0 if tri else (cx - ox3) / side
+    i = (np.floor(a) + np.array([0.0, 1.0, 0.0, 1.0])).ravel()
+    j = (np.floor(b) + np.array([0.0, 0.0, 1.0, 1.0])).ravel()
+    offset_x = np.repeat(ox, 4 * n)
+    offset_y = np.repeat(oy, 4 * n)
+    # lattice point position as points_in_box computes it
+    x = (offset_x + j * side / 2.0) + i * side if tri else offset_x + i * side
+    y = offset_y + j * step_y
+    ddx = np.tile(np.repeat(centers[:, 0], 4), m) - x
+    ddy = np.tile(np.repeat(centers[:, 1], 4), m) - y
+    d2 = ddx * ddx + ddy * ddy
+    lim = (r + EPS) ** 2
+    covered = d2 <= lim
+    # the scalar test squares with ``** 2``, which can round differently from
+    # x * x; recheck the rare pairs at the boundary with it
+    for t in np.flatnonzero(np.abs(d2 - lim) <= 1e-12).tolist():
+        covered[t] = float(ddx[t]) ** 2 + float(ddy[t]) ** 2 <= lim
+
+    # points_in_box's bbox rule (its j range follows from its y test)
+    idx = np.flatnonzero(covered)
+    i, j, y, offset_x, offset_y = (v[idx] for v in (i, j, y, offset_x, offset_y))
+    xmin, ymin, xmax, ymax = disks.bbox(pad=EPS)
+    if tri:
+        xoff = offset_x + j * side / 2.0
+        keep = (y >= ymin) & (y <= ymax)
+    else:
+        xoff = offset_x
+        keep = ((j >= np.ceil((ymin - offset_y) / side - 1e-12))
+                & (j <= np.floor((ymax - offset_y) / side + 1e-12)))
+    keep &= ((i >= np.ceil((xmin - xoff) / side - 1e-12))
+             & (i <= np.floor((xmax - xoff) / side + 1e-12)))
+    idx, i, j, offset_x, offset_y = (v[keep] for v in (idx, i, j, offset_x, offset_y))
+    row = idx // (4 * n)
+    disk = idx // 4 % n
+
+    # cell centre as point(i, j) computes it; on the triangular lattice this
+    # differs from the points_in_box position in float association
+    if tri:
+        hx = (offset_x + i * side) + j * side / 2.0
+        hy = offset_y + j * side * SQRT3 / 2.0
+    else:
+        hx = offset_x + i * side
+        hy = offset_y + j * side
+    vx, vy = _cell_vertices(kind, side)
+    rx = (hx[:, None] + vx) - centers[disk, 0][:, None]
+    ry = (hy[:, None] + vy) - centers[disk, 1][:, None]
+    bx = np.roll(rx, -1, axis=1)
+    by = np.roll(ry, -1, axis=1)
+    edges = _edge_disk_area_array(rx.ravel(), ry.ravel(), bx.ravel(), by.ravel(),
+                                  r).reshape(rx.shape)
+    area = np.zeros(len(disk))
+    for k in range(len(vx)):
+        area += edges[:, k]
+
+    # one group per (offset, lattice point) in (row, j, i) order; the stable
+    # sort keeps ascending disk index within a group
+    order = np.lexsort((i, j, row))
+    row, i, j, disk, area = (v[order] for v in (row, i, j, disk, area))
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (j[1:] != j[:-1]) | (i[1:] != i[:-1])
+    group = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    # the scalar scan within each group, one column (rank) at a time
+    width = int(np.diff(np.append(starts, len(row))).max(initial=0))
+    ranked = np.full((len(starts), width), -np.inf)
+    ranked[group, np.arange(len(row)) - starts[group]] = area
+    best_area = np.full(len(starts), -1.0)
+    best_rank = np.zeros(len(starts), dtype=np.intp)
+    for t in range(width):
+        better = ranked[:, t] > best_area + 1e-12
+        best_area[better] = ranked[better, t]
+        best_rank[better] = t
+
+    # per offset, the sequential sum of the chosen areas in (j, i) order
+    prow = row[starts]
+    hits = np.bincount(prow, minlength=m)
+    first_pick = np.cumsum(hits) - hits
+    summands = np.zeros((m, int(hits.max(initial=0))))
+    summands[prow, np.arange(len(starts)) - first_pick[prow]] = best_area
+    weights = np.zeros(m)
+    for t in range(summands.shape[1]):
+        weights += summands[:, t]
+    return _Selection(weights, hits, prow, i[starts], j[starts],
+                      disk[starts + best_rank], best_area)
+
+
+def _select_at(disks: DiskSet, kind: str, side: float, offset: Point,
+               colour_fn: Callable[[int, int], int]):
+    """Labels, hit count and summed cell overlap of the selection at one offset."""
+    sel = _select_cells(disks, kind, side, np.array([offset[0]]), np.array([offset[1]]))
     labels: list[Optional[int]] = [None] * len(disks)
-    hits = 0
-    cell_sum = 0.0
-    for lp in points:
-        cover = _covering_disks(disks, lp.position)
-        if not cover:
-            continue
-        hits += 1
-        poly = cell_polygon(lp)
-        best_idx = -1
-        best_area = -1.0
-        for i in cover:
-            area = circle_polygon_intersection_area(
-                Circle(disks.centers[i], disks.radius), poly)
-            if area > best_area + 1e-12:
-                best_area = area
-                best_idx = i
-        labels[best_idx] = colour_of(lp)
-        cell_sum += best_area
-    return labels, hits, cell_sum
+    for i, j, d in zip(sel.i.tolist(), sel.j.tolist(), sel.disk.tolist()):
+        labels[d] = colour_fn(int(i), int(j))
+    return labels, int(sel.hits[0]), float(sel.weights[0])
 
 
 def _finish(disks: DiskSet, labels, hits, cell_sum, method, k, info,
@@ -141,20 +273,15 @@ def _finish(disks: DiskSet, labels, hits, cell_sum, method, k, info,
     return assignment, report
 
 
-def _solve_positioned_tri(disks: DiskSet, side: float, method: str, k: int,
-                          colour_fn: Callable[[int, int], int]):
+def _solve_positioned(disks: DiskSet, base: Lattice, method: str, k: int,
+                      colour_fn: Callable[[int, int], int]):
     if len(disks) == 0:
         return _empty_result(method, k)
-    base = TriLattice(side)
+    kind = "square" if isinstance(base, SquareLattice) else "triangular"
     copies = translate_to_cell(disks, base)
     witness = max_distinct_translate_depth(copies, base)
-    lat = TriLattice(side, offset=witness.point)
-    points = lat.points_in_box(disks.bbox(pad=EPS))
-    labels, hits, cell_sum = _select_by_cell_overlap(
-        disks, lat, points,
-        cell_polygon=lambda lp: lat.voronoi_cell_at(lp.i, lp.j).vertices(),
-        colour_of=lambda lp: colour_fn(lp.i, lp.j))
-    info = LatticeInfo("triangular", side, witness.point)
+    labels, hits, cell_sum = _select_at(disks, kind, base.side, witness.point, colour_fn)
+    info = LatticeInfo(kind, base.side, witness.point)
     return _finish(disks, labels, hits, cell_sum, method, k, info,
                    depth=witness.distinct_translates)
 
@@ -162,32 +289,20 @@ def _solve_positioned_tri(disks: DiskSet, side: float, method: str, k: int,
 def solve_basic_3colour(disks: DiskSet) -> tuple[Assignment, CoverageReport]:
     """3-colour selection on the side 4*sqrt(3)/3 lattice, count-maximizing
     positioning; same-coloured selections are pairwise disjoint."""
-    return _solve_positioned_tri(disks, THREE_COLOUR_SIDE, "basic3", 3,
-                                 lambda i, j: (i - j) % 3)
+    return _solve_positioned(disks, TriLattice(THREE_COLOUR_SIDE), "basic3", 3,
+                             lambda i, j: (i - j) % 3)
 
 
 def solve_rado_1colour(disks: DiskSet) -> tuple[Assignment, CoverageReport]:
     """Single-colour selection on the side-4 lattice; all selections disjoint."""
-    return _solve_positioned_tri(disks, ONE_COLOUR_SIDE, "rado1", 1,
-                                 lambda i, j: 0)
+    return _solve_positioned(disks, TriLattice(ONE_COLOUR_SIDE), "rado1", 1,
+                             lambda i, j: 0)
 
 
 def solve_square_2colour(disks: DiskSet) -> tuple[Assignment, CoverageReport]:
     """2-colour selection on the checkerboard square lattice of side 2*sqrt(2)."""
-    if len(disks) == 0:
-        return _empty_result("square2", 2)
-    base = SquareLattice(TWO_COLOUR_SIDE)
-    copies = translate_to_cell(disks, base)
-    witness = max_distinct_translate_depth(copies, base)
-    lat = SquareLattice(TWO_COLOUR_SIDE, offset=witness.point)
-    points = lat.points_in_box(disks.bbox(pad=EPS))
-    labels, hits, cell_sum = _select_by_cell_overlap(
-        disks, lat, points,
-        cell_polygon=lambda lp: lat.voronoi_cell(lp.position),
-        colour_of=lambda lp: lp.colour)
-    info = LatticeInfo("square", TWO_COLOUR_SIDE, witness.point)
-    return _finish(disks, labels, hits, cell_sum, "square2", 2, info,
-                   depth=witness.distinct_translates)
+    return _solve_positioned(disks, SquareLattice(TWO_COLOUR_SIDE), "square2", 2,
+                             lambda i, j: (i + j) % 2)
 
 
 def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
@@ -228,40 +343,6 @@ def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
     return _finish(disks, labels, len(cells), None, f"loeschian{k}", k, info)
 
 
-def _weight_at_offset(disks: DiskSet, offset: Point,
-                      bbox) -> tuple[float, list[tuple[LatticePoint, int, float]]]:
-    """Total cell-overlap weight of the lattice at this offset, with the
-    chosen disk and its overlap for every in-union lattice point."""
-    lat = TriLattice(THREE_COLOUR_SIDE, offset=offset)
-    total = 0.0
-    picks: list[tuple[LatticePoint, int, float]] = []
-    for lp in lat.points_in_box(bbox):
-        cover = _covering_disks(disks, lp.position)
-        if not cover:
-            continue
-        poly = lat.voronoi_cell_at(lp.i, lp.j).vertices()
-        best_idx = -1
-        best_area = -1.0
-        for i in cover:
-            area = circle_polygon_intersection_area(
-                Circle(disks.centers[i], disks.radius), poly)
-            if area > best_area + 1e-12:
-                best_area = area
-                best_idx = i
-        total += best_area
-        picks.append((lp, best_idx, best_area))
-    return total, picks
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    return max(n, 1)
-
-
 def solve_weighted_3colour(disks: DiskSet,
                            sampling: OffsetSampling | None = None
                            ) -> tuple[Assignment, CoverageReport]:
@@ -276,44 +357,38 @@ def solve_weighted_3colour(disks: DiskSet,
     copies = translate_to_cell(disks, base)
     witness = max_distinct_translate_depth(copies, base)
 
-    offsets: list[Point] = [witness.point]
+    xs = [np.array([witness.point[0]])]
+    ys = [np.array([witness.point[1]])]
     if sampling.include_arrangement_candidates:
-        from .arrangement import _pair_intersections
         centers = np.array([tc.circle.center for tc in copies], dtype=float)
         radii = np.array([tc.circle.radius for tc in copies], dtype=float)
         verts = _pair_intersections(centers, radii)
-        for x, y in verts:
-            a, b = base.affine(x, y)
-            if 0.0 <= a < 1.0 and 0.0 <= b < 1.0:
-                offsets.append(Point(float(x), float(y)))
-        for x, y in centers:
-            offsets.append(base.wrap_to_cell(Point(float(x), float(y)))[0])
+        a, b = base.affine_array(verts[:, 0], verts[:, 1])
+        inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
+        wx, wy, _, _ = _wrap_to_cell(base, centers[:, 0], centers[:, 1])
+        xs += [verts[inside, 0], wx]
+        ys += [verts[inside, 1], wy]
     g = sampling.grid_resolution
-    for jj in range(g):
-        for ii in range(g):
-            offsets.append(base.point_from_affine((ii + 0.5) / g, (jj + 0.5) / g))
+    grid = (np.arange(g) + 0.5) / g
+    ga, gb = np.meshgrid(grid, grid)
+    gx, gy = base.point_from_affine(ga.ravel(), gb.ravel())
+    ox = np.concatenate(xs + [gx])
+    oy = np.concatenate(ys + [gy])
 
-    bbox = disks.bbox(pad=EPS)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            weights = list(pool.map(lambda o: _weight_at_offset(disks, o, bbox)[0],
-                                    offsets))
-    else:
-        weights = [_weight_at_offset(disks, o, bbox)[0] for o in offsets]
-    best = max(range(len(offsets)),
-               key=lambda t: (weights[t], -offsets[t][0], -offsets[t][1]))
-    best_offset = offsets[best]
+    rows = max(1, _CHUNK_BYTES // (_PAIR_BYTES * len(disks)))
+    weights = np.concatenate([
+        _select_cells(disks, "triangular", THREE_COLOUR_SIDE,
+                      ox[s:s + rows], oy[s:s + rows]).weights
+        for s in range(0, len(ox), rows)]).tolist()
+    oxs = ox.tolist()
+    oys = oy.tolist()
+    best = max(range(len(weights)), key=lambda t: (weights[t], -oxs[t], -oys[t]))
+    best_offset = Point(oxs[best], oys[best])
 
-    lat = TriLattice(THREE_COLOUR_SIDE, offset=best_offset)
-    total, picks = _weight_at_offset(disks, best_offset, bbox)
-    labels: list[Optional[int]] = [None] * len(disks)
-    for lp, idx, _ in picks:
-        labels[idx] = (lp.i - lp.j) % 3
+    labels, hits, total = _select_at(disks, "triangular", THREE_COLOUR_SIDE,
+                                     best_offset, lambda i, j: (i - j) % 3)
     info = LatticeInfo("triangular", THREE_COLOUR_SIDE, best_offset)
-    assignment, report = _finish(disks, labels, len(picks), total,
-                                 "weighted3", 3, info)
-    return assignment, report
+    return _finish(disks, labels, hits, total, "weighted3", 3, info)
 
 
 def verify(disks: DiskSet, assignment: Assignment) -> CoverageReport:

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pytest
 
-from diskpack import (EPS, Circle, DepthWitness, DiskSet, InputError, Point,
-                      SplitMix64, TranslatedCircle, gen_clustered, gen_random,
-                      gen_spirograph)
-from diskpack.arrangement import _distinct_counts
-from diskpack.lattice import Lattice
+from diskpack import (EPS, Circle, DepthWitness, DiskSet, InputError, OffsetSampling,
+                      ONE_COLOUR_SIDE, Point, SplitMix64, SquareLattice,
+                      THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, TranslatedCircle, TriLattice,
+                      circle_polygon_intersection_area, gen_clustered, gen_random,
+                      gen_spirograph, max_distinct_translate_depth, translate_to_cell)
+from diskpack.arrangement import _distinct_counts, _pair_intersections
+from diskpack.lattice import Lattice, LatticePoint
+from diskpack.selector import LatticeInfo, _empty_result, _finish
 
 
 def grid_depth_oracle(circles, resolution=900, bbox=None):
@@ -309,3 +312,136 @@ def reference_max_distinct_translate_depth(circles: Sequence[TranslatedCircle],
     for t in np.nonzero(d2 <= lim2)[0]:
         per[ids[t]] = per.get(ids[t], 0) + 1
     return DepthWitness(point, best, per)
+
+
+# Scalar reference implementations of the selection step: the per-point scan
+# over ``points_in_box`` that ``diskpack.selector._select_cells`` replaced.
+# The array routine must reproduce them bit for bit.
+
+def reference_covering_disks(disks: DiskSet, p: Point) -> list[int]:
+    lim = (disks.radius + EPS) ** 2
+    return [i for i, c in enumerate(disks.centers)
+            if (c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2 <= lim]
+
+
+def reference_select_by_cell_overlap(disks: DiskSet, lattice, points: Sequence[LatticePoint],
+                                     cell_polygon: Callable[[LatticePoint], Sequence[Point]],
+                                     colour_of: Callable[[LatticePoint], int]):
+    """Pick, for every lattice point inside the union, the containing disk with
+    the largest intersection with the point's cell (lowest index on ties)."""
+    labels: list[Optional[int]] = [None] * len(disks)
+    hits = 0
+    cell_sum = 0.0
+    for lp in points:
+        cover = reference_covering_disks(disks, lp.position)
+        if not cover:
+            continue
+        hits += 1
+        poly = cell_polygon(lp)
+        best_idx = -1
+        best_area = -1.0
+        for i in cover:
+            area = circle_polygon_intersection_area(
+                Circle(disks.centers[i], disks.radius), poly)
+            if area > best_area + 1e-12:
+                best_area = area
+                best_idx = i
+        labels[best_idx] = colour_of(lp)
+        cell_sum += best_area
+    return labels, hits, cell_sum
+
+
+def reference_weight_at_offset(disks: DiskSet, offset: Point,
+                               bbox) -> tuple[float, list[tuple[LatticePoint, int, float]]]:
+    """Total cell-overlap weight of the lattice at this offset, with the
+    chosen disk and its overlap for every in-union lattice point."""
+    lat = TriLattice(THREE_COLOUR_SIDE, offset=offset)
+    total = 0.0
+    picks: list[tuple[LatticePoint, int, float]] = []
+    for lp in lat.points_in_box(bbox):
+        cover = reference_covering_disks(disks, lp.position)
+        if not cover:
+            continue
+        poly = lat.voronoi_cell_at(lp.i, lp.j).vertices()
+        best_idx = -1
+        best_area = -1.0
+        for i in cover:
+            area = circle_polygon_intersection_area(
+                Circle(disks.centers[i], disks.radius), poly)
+            if area > best_area + 1e-12:
+                best_area = area
+                best_idx = i
+        total += best_area
+        picks.append((lp, best_idx, best_area))
+    return total, picks
+
+
+def reference_select_at(disks: DiskSet, lat: Lattice, colour_fn):
+    """(labels, hits, cell_sum) of the scalar scan with the lattice as given."""
+    points = lat.points_in_box(disks.bbox(pad=EPS))
+    cell_polygon = ((lambda lp: lat.voronoi_cell(lp.position))
+                    if isinstance(lat, SquareLattice)
+                    else (lambda lp: lat.voronoi_cell_at(lp.i, lp.j).vertices()))
+    return reference_select_by_cell_overlap(disks, lat, points, cell_polygon,
+                                            lambda lp: colour_fn(lp.i, lp.j))
+
+
+REFERENCE_POSITIONED = {
+    "basic3": (TriLattice, THREE_COLOUR_SIDE, 3, lambda i, j: (i - j) % 3),
+    "rado1": (TriLattice, ONE_COLOUR_SIDE, 1, lambda i, j: 0),
+    "square2": (SquareLattice, TWO_COLOUR_SIDE, 2, lambda i, j: (i + j) % 2),
+}
+
+
+def reference_solve_positioned(disks: DiskSet, method: str):
+    """basic3, rado1 or square2 with the scalar selection scan."""
+    cls, side, k, colour_fn = REFERENCE_POSITIONED[method]
+    if len(disks) == 0:
+        return _empty_result(method, k)
+    base = cls(side)
+    copies = translate_to_cell(disks, base)
+    witness = max_distinct_translate_depth(copies, base)
+    labels, hits, cell_sum = reference_select_at(disks, cls(side, offset=witness.point),
+                                                 colour_fn)
+    kind = "square" if cls is SquareLattice else "triangular"
+    info = LatticeInfo(kind, side, witness.point)
+    return _finish(disks, labels, hits, cell_sum, method, k, info,
+                   depth=witness.distinct_translates)
+
+
+def reference_solve_weighted(disks: DiskSet, sampling: OffsetSampling):
+    """The weighted solver's serial per-offset loop over the scalar scan."""
+    if len(disks) == 0:
+        return _empty_result("weighted3", 3)
+    base = TriLattice(THREE_COLOUR_SIDE)
+    copies = translate_to_cell(disks, base)
+    witness = max_distinct_translate_depth(copies, base)
+
+    offsets: list[Point] = [witness.point]
+    if sampling.include_arrangement_candidates:
+        centers = np.array([tc.circle.center for tc in copies], dtype=float)
+        radii = np.array([tc.circle.radius for tc in copies], dtype=float)
+        verts = _pair_intersections(centers, radii)
+        for x, y in verts:
+            a, b = base.affine(x, y)
+            if 0.0 <= a < 1.0 and 0.0 <= b < 1.0:
+                offsets.append(Point(float(x), float(y)))
+        for x, y in centers:
+            offsets.append(base.wrap_to_cell(Point(float(x), float(y)))[0])
+    g = sampling.grid_resolution
+    for jj in range(g):
+        for ii in range(g):
+            offsets.append(base.point_from_affine((ii + 0.5) / g, (jj + 0.5) / g))
+
+    bbox = disks.bbox(pad=EPS)
+    weights = [reference_weight_at_offset(disks, o, bbox)[0] for o in offsets]
+    best = max(range(len(offsets)),
+               key=lambda t: (weights[t], -offsets[t][0], -offsets[t][1]))
+    best_offset = offsets[best]
+
+    total, picks = reference_weight_at_offset(disks, best_offset, bbox)
+    labels: list[Optional[int]] = [None] * len(disks)
+    for lp, idx, _ in picks:
+        labels[idx] = (lp.i - lp.j) % 3
+    info = LatticeInfo("triangular", THREE_COLOUR_SIDE, best_offset)
+    return _finish(disks, labels, len(picks), total, "weighted3", 3, info)
