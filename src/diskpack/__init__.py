@@ -1,7 +1,7 @@
 """diskpack: lattice-based selection and k-colouring of unit disks."""
 
-from .arrangement import (DepthWitness, TranslatedCircle, max_depth,
-                          max_distinct_translate_depth, translate_to_cell)
+from .arrangement import (DepthWitness, TranslatedCircle, max_distinct_translate_depth,
+                          translate_to_cell)
 from .bounds import (BoundsTable, adaptive_simpson, alpha_k, bound_table, delta_k,
                      kcolour_guarantee, min_square_overlap, square_overlap_at_angle,
                      weight_lower_bound, weighted_bound_constant)
@@ -11,7 +11,7 @@ from .generators import (enclosing_triangle_side, gen_chain, gen_clustered,
 from .geometry import (Circle, EPS, Point, RegularHexagon, boundary_disk_hex_area,
                        circle_polygon_intersection_area, disk_hexagon_area,
                        lens_area, min_overlap_closed_form)
-from .lattice import (LatticePoint, LoeschianColouring, ONE_COLOUR_SIDE,
+from .lattice import (Lattice, LatticePoint, LoeschianColouring, ONE_COLOUR_SIDE,
                       SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       TriLattice, loeschian_decompose)
 from .prng import SplitMix64

@@ -62,7 +62,7 @@ class DepthWitness:
 def _wrap_to_cell(lattice: Lattice, xs: np.ndarray, ys: np.ndarray):
     """Array form of ``lattice.wrap_to_cell``: wrapped x, y and the cell
     indices i, j as integral floats."""
-    a, b = lattice.affine_array(xs, ys)
+    a, b = lattice.affine(xs, ys)
     i = np.floor(a)
     j = np.floor(b)
     fa = a - i
@@ -71,7 +71,7 @@ def _wrap_to_cell(lattice: Lattice, xs: np.ndarray, ys: np.ndarray):
         fold = f >= 1.0  # guard against floating fold-over, as in _frac
         idx[fold] += 1.0
         f[fold] -= 1.0
-    wx, wy = lattice.point_from_affine(fa, fb)
+    wx, wy = lattice.point(fa, fb)
     return wx, wy, i, j
 
 
@@ -87,7 +87,7 @@ def translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[TranslatedCircle
     r = disks.radius
     pts = disks.centers_array()
     px, py, i0, j0 = _wrap_to_cell(lattice, pts[:, 0], pts[:, 1])
-    a, b = lattice.affine_array(px, py)
+    a, b = lattice.affine(px, py)
     ux, uy = lattice.u
     vx, vy = lattice.v
     shifts = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
@@ -119,7 +119,7 @@ def translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[TranslatedCircle
         d = np.where(inside, 0.0, np.sqrt(best_d2))
         # tangent contact: include only when the touch point belongs to the
         # half-open cell
-        ca, cb = lattice.affine_array(best_qx, best_qy)
+        ca, cb = lattice.affine(best_qx, best_qy)
         touch_in = (di <= ca) & (ca < di + 1.0) & (dj <= cb) & (cb < dj + 1.0)
         tangent = (d > r - 1e-12) & (d > 0.0)
         keep[:, col] = (d <= r + 1e-12) & (~tangent | touch_in)
@@ -361,7 +361,7 @@ def _best_in_cell(lattice, cx, cy, ri, mids, score, test):
     rows, ts = np.nonzero(test & (score >= 0))
     mid = mids[rows, ts]
     r = ri[rows, 0]
-    a, b = lattice.affine_array(cx[rows] + r * np.cos(mid), cy[rows] + r * np.sin(mid))
+    a, b = lattice.affine(cx[rows] + r * np.cos(mid), cy[rows] + r * np.sin(mid))
     inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
     # NumPy's cos/sin may differ from libm's by an ulp: re-test midpoints
     # close to a cell edge with the scalar expression that emits the point
@@ -424,20 +424,3 @@ def max_distinct_translate_depth(circles: Sequence[TranslatedCircle],
     for i, j in ids[d2 <= lim2].tolist():
         per[(i, j)] = per.get((i, j), 0) + 1
     return DepthWitness(point, best, per)
-
-
-def max_depth(circles: Sequence[Circle]) -> tuple[Point, int]:
-    """Point of maximum coverage depth over a plain set of circles."""
-    if not circles:
-        raise InputError("max_depth needs at least one circle")
-    centers = np.array([c.center for c in circles], dtype=float)
-    radii = np.array([c.radius for c in circles], dtype=float)
-    verts = _pair_intersections(centers, radii)
-    cands = np.concatenate([verts, centers]) if len(verts) else centers
-    counts = np.empty(len(cands), dtype=np.int64)
-    for base, memb in _membership_chunks(cands, centers, radii):
-        counts[base:base + len(memb)] = memb.sum(axis=1)
-    best = int(counts.max())
-    at_best = cands[counts == best]
-    k = np.lexsort((at_best[:, 1], at_best[:, 0]))[0]
-    return Point(float(at_best[k, 0]), float(at_best[k, 1])), best

@@ -18,7 +18,7 @@ from .files import (instance_sha256, parse_instance, parse_result,
                     serialize_instance, serialize_result)
 from .generators import (gen_chain, gen_clustered, gen_depth_reduction,
                          gen_random, gen_spirograph)
-from .lattice import SquareLattice, TriLattice
+from .lattice import lattice_of
 from .render import render_svg
 from .selector import (OffsetSampling, solve_basic_3colour, solve_kcolour,
                        solve_rado_1colour, solve_square_2colour,
@@ -26,12 +26,15 @@ from .selector import (OffsetSampling, solve_basic_3colour, solve_kcolour,
 from .union_area import exact_union_area, monte_carlo_union_area
 
 
-def _read_instance(path: str):
+def _read(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read instance file: {exc}") from exc
-    return parse_instance(text)
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from exc
+
+
+def _read_instance(path: str):
+    return parse_instance(_read(path, "instance"))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -84,11 +87,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     disks = _read_instance(args.instance)
-    try:
-        text = Path(args.result).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read result file: {exc}") from exc
-    assignment, doc = parse_result(text)
+    assignment, doc = parse_result(_read(args.result, "result"))
     if doc.get("instance_sha256") != instance_sha256(disks):
         sys.stderr.write("verify: result does not reference this instance\n")
         return 3
@@ -140,13 +139,10 @@ def _cmd_render(args) -> int:
     assignment = None
     lattice = None
     if args.result:
-        assignment, _ = parse_result(Path(args.result).read_text())
-        if assignment.lattice is not None and args.lattice:
-            info = assignment.lattice
-            if info.kind == "triangular":
-                lattice = TriLattice(info.side, offset=info.offset)
-            else:
-                lattice = SquareLattice(info.side, offset=info.offset)
+        assignment, _ = parse_result(_read(args.result, "result"))
+        info = assignment.lattice
+        if info is not None and args.lattice:
+            lattice = lattice_of(info.kind, info.side, info.offset)
     _write(args.output, render_svg(disks, assignment, lattice,
                                    show_cells=args.cells))
     return 0

@@ -1,15 +1,21 @@
-"""Positioned point lattices: triangular and square, with colourings and cells.
+"""Positioned point lattices, with their colourings and Voronoi cells.
 
-Both lattice kinds expose the same surface: basis vectors ``u``/``v``, a
-half-open fundamental cell spanned by them at ``offset``, ``wrap_to_cell``,
-``points_in_box`` and Voronoi-cell accessors.  Orientation is fixed (u along
-+x); translation is the only degree of freedom.
+One ``Lattice`` type, defined by its data (side, offset, basis, colouring
+and Voronoi cell), serves both lattice kinds.  ``TriLattice`` and
+``SquareLattice`` build them and ``lattice_of`` finds one by the kind name
+result files store, so no other module knows what distinguishes the kinds.
+Orientation is fixed (u along +x); translation is the only degree of freedom.
+
+Every method is written once for Python floats and NumPy arrays alike, with
+the same IEEE operations in the same order.  The offset may itself be a pair
+of arrays (``at``), one lattice per element, which lets the selector test
+many offsets at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,17 +47,30 @@ def _frac(a: float) -> tuple[int, float]:
 
 
 @dataclass(frozen=True)
-class TriLattice:
-    """Triangular lattice with basis u = (side, 0), v = (side/2, side*sqrt(3)/2)."""
+class Lattice:
+    """Lattice points offset + i*u + j*v, u = (side, 0), v = (shear*side,
+    rise*side/2); built by ``TriLattice`` and ``SquareLattice``.
 
+    ``rise`` is twice v's height in units of side, so that heights round as
+    side*sqrt(3)/2 always has.  ``cell`` holds the Voronoi cell's vertices
+    relative to its lattice point, counterclockwise.  ``row_slack`` is the row
+    rule of ``points_in_box``: rows within 1e-12 of the box in index units,
+    like columns (square), rather than rows whose y lies in the box.
+    """
+
+    kind: str
     side: float
-    offset: Point = Point(0.0, 0.0)
-    colours: int = 3
+    offset: Point
+    shear: float
+    rise: float
+    colours: int
+    cell: tuple[Point, ...]
+    row_slack: bool
 
-    def __post_init__(self) -> None:
-        require_finite(self.side, self.offset[0], self.offset[1], what="lattice parameter")
-        if self.side <= 0.0:
-            raise InputError("lattice side must be positive")
+    def at(self, x, y) -> Lattice:
+        """This lattice moved to offset (x, y); arrays of offsets give one
+        lattice per element."""
+        return replace(self, offset=Point(x, y))
 
     @property
     def u(self) -> Point:
@@ -59,30 +78,31 @@ class TriLattice:
 
     @property
     def v(self) -> Point:
-        return Point(self.side / 2.0, self.side * SQRT3 / 2.0)
+        return Point(self.side * self.shear, self.side * self.rise / 2.0)
 
     @property
     def cell_area(self) -> float:
-        """Area of the fundamental parallelogram (two lattice triangles)."""
-        return self.side * self.side * SQRT3 / 2.0
+        """Area of the fundamental parallelogram."""
+        return self.side * self.side * self.rise / 2.0
 
-    def colour(self, i: int, j: int) -> int:
-        # all six neighbours of (i, j) get the other two colours
-        return (i - j) % 3
+    def colour(self, i, j):
+        # 3 colours: the six neighbours of (i, j) get the other two;
+        # 2 colours: the checkerboard (i + j) mod 2
+        return (i - j) % self.colours
 
-    def point(self, i: int, j: int) -> Point:
-        return Point(self.offset[0] + i * self.side + j * self.side / 2.0,
-                     self.offset[1] + j * self.side * SQRT3 / 2.0)
+    def point(self, a, b) -> Point:
+        """offset + a*u + b*v, for lattice indices or affine coordinates."""
+        x = self.offset[0] + a * self.side
+        if self.shear:
+            x = x + b * self.side * self.shear
+        return Point(x, self.offset[1] + b * self.side * self.rise / 2.0)
 
-    def affine(self, x: float, y: float) -> tuple[float, float]:
-        """Coordinates (a, b) with p = offset + a*u + b*v."""
-        b = (y - self.offset[1]) / (self.side * SQRT3 / 2.0)
-        a = (x - self.offset[0]) / self.side - b / 2.0
-        return a, b
-
-    def affine_array(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b = (ys - self.offset[1]) / (self.side * SQRT3 / 2.0)
-        a = (xs - self.offset[0]) / self.side - b / 2.0
+    def affine(self, x, y):
+        """Coordinates (a, b) with (x, y) = offset + a*u + b*v."""
+        b = (y - self.offset[1]) / self.v[1]
+        a = (x - self.offset[0]) / self.side
+        if self.shear:
+            a = a - b * self.shear
         return a, b
 
     def wrap_to_cell(self, p: Point) -> tuple[Point, tuple[int, int]]:
@@ -91,11 +111,7 @@ class TriLattice:
         a, b = self.affine(p[0], p[1])
         i, fa = _frac(a)
         j, fb = _frac(b)
-        return self.point_from_affine(fa, fb), (i, j)
-
-    def point_from_affine(self, a: float, b: float) -> Point:
-        return Point(self.offset[0] + a * self.side + b * self.side / 2.0,
-                     self.offset[1] + b * self.side * SQRT3 / 2.0)
+        return self.point(fa, fb), (i, j)
 
     def nearest(self, p: Point) -> tuple[int, int]:
         """Index of the lattice point nearest to p; ties broken by smallest (i, j)."""
@@ -112,121 +128,103 @@ class TriLattice:
                     best = key
         return best[1], best[2]
 
+    # points_in_box places a point at its row's start + i*side, which on a
+    # sheared lattice rounds differently from point(i, j)
+    def _row(self, j):
+        x = self.offset[0]
+        if self.shear:
+            x = x + j * self.side * self.shear
+        return x, self.offset[1] + j * self.v[1]
+
+    def _columns(self, x0, xmin, xmax):
+        return (np.ceil((xmin - x0) / self.side - 1e-12),
+                np.floor((xmax - x0) / self.side + 1e-12))
+
+    def _row_in_box(self, j, y, ymin, ymax):
+        if self.row_slack:
+            return ((j >= np.ceil((ymin - self.offset[1]) / self.v[1] - 1e-12))
+                    & (j <= np.floor((ymax - self.offset[1]) / self.v[1] + 1e-12)))
+        return (y >= ymin) & (y <= ymax)
+
+    def box_points(self, i, j, bbox):
+        """(x, y, listed): the position of lattice point (i, j) as
+        ``points_in_box`` gives it, and whether ``points_in_box(bbox)`` lists it."""
+        xmin, ymin, xmax, ymax = bbox
+        x0, y = self._row(j)
+        first, last = self._columns(x0, xmin, xmax)
+        listed = self._row_in_box(j, y, ymin, ymax) & (first <= i) & (i <= last)
+        return x0 + i * self.side, y, listed
+
     def points_in_box(self, bbox: tuple[float, float, float, float]) -> list[LatticePoint]:
         """All lattice points with position inside the closed bbox (xmin, ymin, xmax, ymax)."""
         xmin, ymin, xmax, ymax = bbox
         require_finite(xmin, ymin, xmax, ymax, what="bbox bound")
         if xmax < xmin or ymax < ymin:
             return []
-        vy = self.side * SQRT3 / 2.0
-        jmin = math.floor((ymin - self.offset[1]) / vy) - 1
-        jmax = math.ceil((ymax - self.offset[1]) / vy) + 1
         out = []
-        for j in range(jmin, jmax + 1):
-            y = self.offset[1] + j * vy
-            if y < ymin or y > ymax:
-                continue
-            xoff = self.offset[0] + j * self.side / 2.0
-            imin = math.ceil((xmin - xoff) / self.side - 1e-12)
-            imax = math.floor((xmax - xoff) / self.side + 1e-12)
-            for i in range(imin, imax + 1):
-                x = xoff + i * self.side
-                out.append(LatticePoint(i, j, Point(x, y), self.colour(i, j)))
+        for j in range(math.floor((ymin - self.offset[1]) / self.v[1]) - 1,
+                       math.ceil((ymax - self.offset[1]) / self.v[1]) + 2):
+            x0, y = self._row(j)
+            if self._row_in_box(j, y, ymin, ymax):
+                first, last = self._columns(x0, xmin, xmax)
+                out += [LatticePoint(i, j, Point(x0 + i * self.side, y), self.colour(i, j))
+                        for i in range(int(first), int(last) + 1)]
         return out
 
-    def voronoi_cell(self, p: Point) -> RegularHexagon:
-        """Voronoi cell of a lattice point: regular hexagon of side side/sqrt(3)."""
+    def cell_polygon(self, i: int, j: int) -> tuple[Point, ...]:
+        """Vertices of the Voronoi cell of lattice point (i, j), counterclockwise."""
+        x, y = self.point(i, j)
+        return tuple(Point(x + dx, y + dy) for dx, dy in self.cell)
+
+    def voronoi_cell_at(self, i: int, j: int):
+        """Voronoi cell of lattice point (i, j): a ``RegularHexagon`` when it
+        is one, otherwise ``cell_polygon(i, j)``."""
+        if len(self.cell) == 6:
+            return RegularHexagon(self.point(i, j), self.side / SQRT3)
+        return self.cell_polygon(i, j)
+
+    def voronoi_cell(self, p: Point):
+        """``voronoi_cell_at`` of the lattice point at p."""
         a, b = self.affine(p[0], p[1])
         if abs(a - round(a)) > 1e-6 or abs(b - round(b)) > 1e-6:
             raise InputError("voronoi_cell expects a lattice point")
-        return RegularHexagon(p, self.side / SQRT3)
-
-    def voronoi_cell_at(self, i: int, j: int) -> RegularHexagon:
-        return RegularHexagon(self.point(i, j), self.side / SQRT3)
+        return self.voronoi_cell_at(round(a), round(b))
 
 
-@dataclass(frozen=True)
-class SquareLattice:
-    """Axis-aligned square lattice with a checkerboard 2-colouring."""
-
-    side: float
-    offset: Point = Point(0.0, 0.0)
-    colours: int = 2
-
-    def __post_init__(self) -> None:
-        require_finite(self.side, self.offset[0], self.offset[1], what="lattice parameter")
-        if self.side <= 0.0:
-            raise InputError("lattice side must be positive")
-
-    @property
-    def u(self) -> Point:
-        return Point(self.side, 0.0)
-
-    @property
-    def v(self) -> Point:
-        return Point(0.0, self.side)
-
-    @property
-    def cell_area(self) -> float:
-        return self.side * self.side
-
-    def colour(self, i: int, j: int) -> int:
-        return (i + j) % 2
-
-    def point(self, i: int, j: int) -> Point:
-        return Point(self.offset[0] + i * self.side, self.offset[1] + j * self.side)
-
-    def affine(self, x: float, y: float) -> tuple[float, float]:
-        return (x - self.offset[0]) / self.side, (y - self.offset[1]) / self.side
-
-    def affine_array(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (xs - self.offset[0]) / self.side, (ys - self.offset[1]) / self.side
-
-    def wrap_to_cell(self, p: Point) -> tuple[Point, tuple[int, int]]:
-        require_finite(p[0], p[1])
-        a, b = self.affine(p[0], p[1])
-        i, fa = _frac(a)
-        j, fb = _frac(b)
-        return self.point_from_affine(fa, fb), (i, j)
-
-    def point_from_affine(self, a: float, b: float) -> Point:
-        return Point(self.offset[0] + a * self.side, self.offset[1] + b * self.side)
-
-    def nearest(self, p: Point) -> tuple[int, int]:
-        a, b = self.affine(p[0], p[1])
-        i0 = math.floor(a)
-        j0 = math.floor(b)
-        best = None
-        for j in (j0, j0 + 1):
-            for i in (i0, i0 + 1):
-                q = self.point(i, j)
-                d = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-                key = (d, i, j)
-                if best is None or key < best:
-                    best = key
-        return best[1], best[2]
-
-    def points_in_box(self, bbox: tuple[float, float, float, float]) -> list[LatticePoint]:
-        xmin, ymin, xmax, ymax = bbox
-        require_finite(xmin, ymin, xmax, ymax, what="bbox bound")
-        if xmax < xmin or ymax < ymin:
-            return []
-        jmin = math.ceil((ymin - self.offset[1]) / self.side - 1e-12)
-        jmax = math.floor((ymax - self.offset[1]) / self.side + 1e-12)
-        imin = math.ceil((xmin - self.offset[0]) / self.side - 1e-12)
-        imax = math.floor((xmax - self.offset[0]) / self.side + 1e-12)
-        return [LatticePoint(i, j, self.point(i, j), self.colour(i, j))
-                for j in range(jmin, jmax + 1) for i in range(imin, imax + 1)]
-
-    def voronoi_cell(self, p: Point) -> tuple[Point, Point, Point, Point]:
-        """Voronoi cell of a lattice point: axis-aligned square, counterclockwise."""
-        h = self.side / 2.0
-        x, y = p
-        return (Point(x - h, y - h), Point(x + h, y - h),
-                Point(x + h, y + h), Point(x - h, y + h))
+def _check(side: float, offset: Point) -> None:
+    require_finite(side, offset[0], offset[1], what="lattice parameter")
+    if side <= 0.0:
+        raise InputError("lattice side must be positive")
 
 
-Lattice = TriLattice | SquareLattice
+def TriLattice(side: float, offset: Point = Point(0.0, 0.0), colours: int = 3) -> Lattice:
+    """Triangular lattice, v = (side/2, side*sqrt(3)/2), with regular
+    hexagonal cells; 3 colours, or 1 when side >= 4."""
+    _check(side, offset)
+    rad = side / SQRT3
+    # the vertices of RegularHexagon.vertices, relative to the centre
+    angles = [math.pi / 6.0 + k * math.pi / 3.0 for k in range(6)]
+    cell = tuple(Point(rad * math.cos(t), rad * math.sin(t)) for t in angles)
+    return Lattice("triangular", side, offset, 0.5, SQRT3, colours, cell, False)
+
+
+def SquareLattice(side: float, offset: Point = Point(0.0, 0.0), colours: int = 2) -> Lattice:
+    """Axis-aligned square lattice, v = (0, side), with the checkerboard
+    2-colouring."""
+    _check(side, offset)
+    h = side / 2.0
+    cell = (Point(-h, -h), Point(h, -h), Point(h, h), Point(-h, h))
+    return Lattice("square", side, offset, 0.0, 2.0, colours, cell, True)
+
+
+_KINDS = {"triangular": TriLattice, "square": SquareLattice}
+
+
+def lattice_of(kind: str, side: float, offset: Point) -> Lattice:
+    """The lattice a result file names by kind, side and offset."""
+    if kind not in _KINDS:
+        raise InputError(f"unknown lattice kind {kind!r}")
+    return _KINDS[kind](side, offset)
 
 
 def loeschian_decompose(k: int) -> tuple[int, int] | None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .geometry import Point
-from .lattice import SquareLattice, TriLattice
+from .lattice import Lattice
 from .selector import Assignment
 from .union_area import DiskSet
 
@@ -20,7 +20,7 @@ def _f(x: float) -> str:
 
 
 def render_svg(disks: DiskSet, assignment: Optional[Assignment] = None,
-               lattice: TriLattice | SquareLattice | None = None,
+               lattice: Lattice | None = None,
                show_cells: bool = False) -> str:
     """SVG document: grey unselected disks, one fill per colour, optional
     lattice-point and Voronoi-cell layers.  Byte-identical for equal inputs."""
@@ -51,10 +51,7 @@ def render_svg(disks: DiskSet, assignment: Optional[Assignment] = None,
             parts.append('<g class="cells" fill="none" stroke="#888888" '
                          'stroke-width="0.7">')
             for lp in pts:
-                if isinstance(lattice, TriLattice):
-                    verts = lattice.voronoi_cell_at(lp.i, lp.j).vertices()
-                else:
-                    verts = lattice.voronoi_cell(lp.position)
+                verts = lattice.cell_polygon(lp.i, lp.j)
                 coords = " ".join("%s,%s" % tuple(map(_f, tx(v))) for v in verts)
                 parts.append(f'<polygon points="{coords}"/>')
             parts.append('</g>')

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .arrangement import (_pair_intersections, _wrap_to_cell,
                           max_distinct_translate_depth, translate_to_cell)
 from .bounds import bound_table, kcolour_guarantee, alpha_k
 from .errors import InputError, VerificationError
-from .geometry import EPS, SQRT3, Point, _edge_disk_area_array
+from .geometry import EPS, Point, _edge_disk_area_array
 from .lattice import (Lattice, LoeschianColouring, SquareLattice, TriLattice,
                       ONE_COLOUR_SIDE, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       loeschian_decompose)
@@ -81,7 +81,6 @@ class OffsetSampling:
     fundamental cell plus the positioning candidates of the count solver."""
 
     grid_resolution: int = 256
-    include_arrangement_candidates: bool = True
 
     def __post_init__(self) -> None:
         if self.grid_resolution < 1:
@@ -124,29 +123,17 @@ class _Selection(NamedTuple):
     area: np.ndarray
 
 
-def _cell_vertices(kind: str, side: float) -> tuple[np.ndarray, np.ndarray]:
-    """Voronoi cell vertices relative to their lattice point, counterclockwise,
-    as ``RegularHexagon.vertices`` and ``SquareLattice.voronoi_cell`` give them."""
-    if kind == "triangular":
-        rad = side / SQRT3
-        angles = [math.pi / 6.0 + k * math.pi / 3.0 for k in range(6)]
-        return (np.array([rad * math.cos(t) for t in angles]),
-                np.array([rad * math.sin(t) for t in angles]))
-    h = side / 2.0
-    return np.array([-h, h, h, -h]), np.array([-h, -h, h, h])
-
-
 # Every positioned lattice side (THREE_COLOUR_SIDE, ONE_COLOUR_SIDE,
 # TWO_COLOUR_SIDE) exceeds 2 * (r + EPS) for the unit disks translate_to_cell
 # admits (|r - 1| <= 1e-9), so a disk holds at most one lattice point.  That
 # point is one of the 2 x 2 lattice points around the floor of the disk
 # centre's affine coordinates, because the disk spans less than one unit of
 # each affine coordinate.
-def _select_cells(disks: DiskSet, kind: str, side: float,
+def _select_cells(disks: DiskSet, lattice: Lattice,
                   ox: np.ndarray, oy: np.ndarray) -> _Selection:
-    """For the lattice of this kind and side at each offset (ox[t], oy[t]):
-    every lattice point inside the union keeps the covering disk with the
-    largest overlap with its Voronoi cell (lowest index on ties within 1e-12).
+    """For the lattice moved to each offset (ox[t], oy[t]): every lattice
+    point inside the union keeps the covering disk with the largest overlap
+    with its Voronoi cell (lowest index on ties within 1e-12).
 
     Cost is O(offsets * n), independent of the bounding-box area.  The
     arithmetic repeats the scalar per-point scan it replaced operation for
@@ -156,23 +143,15 @@ def _select_cells(disks: DiskSet, kind: str, side: float,
     n = len(disks)
     r = disks.radius
     centers = disks.centers_array()
-    cx = centers[:, 0][:, None]
-    cy = centers[:, 1][:, None]
-    tri = kind == "triangular"
-    step_y = side * SQRT3 / 2.0 if tri else side
 
     # one entry per (offset, disk, candidate lattice point), flattened
-    ox3 = ox[:, None, None]
-    oy3 = oy[:, None, None]
-    b = (cy - oy3) / step_y
-    a = (cx - ox3) / side - b / 2.0 if tri else (cx - ox3) / side
+    a, b = lattice.at(ox[:, None, None], oy[:, None, None]).affine(
+        centers[:, 0][:, None], centers[:, 1][:, None])
     i = (np.floor(a) + np.array([0.0, 1.0, 0.0, 1.0])).ravel()
     j = (np.floor(b) + np.array([0.0, 0.0, 1.0, 1.0])).ravel()
-    offset_x = np.repeat(ox, 4 * n)
-    offset_y = np.repeat(oy, 4 * n)
-    # lattice point position as points_in_box computes it
-    x = (offset_x + j * side / 2.0) + i * side if tri else offset_x + i * side
-    y = offset_y + j * step_y
+    at_entry = lattice.at(np.repeat(ox, 4 * n), np.repeat(oy, 4 * n))
+    # the covering test uses the position points_in_box gives
+    x, y, listed = at_entry.box_points(i, j, disks.bbox(pad=EPS))
     ddx = np.tile(np.repeat(centers[:, 0], 4), m) - x
     ddy = np.tile(np.repeat(centers[:, 1], 4), m) - y
     d2 = ddx * ddx + ddy * ddy
@@ -183,32 +162,13 @@ def _select_cells(disks: DiskSet, kind: str, side: float,
     for t in np.flatnonzero(np.abs(d2 - lim) <= 1e-12).tolist():
         covered[t] = float(ddx[t]) ** 2 + float(ddy[t]) ** 2 <= lim
 
-    # points_in_box's bbox rule (its j range follows from its y test)
-    idx = np.flatnonzero(covered)
-    i, j, y, offset_x, offset_y = (v[idx] for v in (i, j, y, offset_x, offset_y))
-    xmin, ymin, xmax, ymax = disks.bbox(pad=EPS)
-    if tri:
-        xoff = offset_x + j * side / 2.0
-        keep = (y >= ymin) & (y <= ymax)
-    else:
-        xoff = offset_x
-        keep = ((j >= np.ceil((ymin - offset_y) / side - 1e-12))
-                & (j <= np.floor((ymax - offset_y) / side + 1e-12)))
-    keep &= ((i >= np.ceil((xmin - xoff) / side - 1e-12))
-             & (i <= np.floor((xmax - xoff) / side + 1e-12)))
-    idx, i, j, offset_x, offset_y = (v[keep] for v in (idx, i, j, offset_x, offset_y))
+    idx = np.flatnonzero(covered & listed)
+    i, j = i[idx], j[idx]
     row = idx // (4 * n)
     disk = idx // 4 % n
-
-    # cell centre as point(i, j) computes it; on the triangular lattice this
-    # differs from the points_in_box position in float association
-    if tri:
-        hx = (offset_x + i * side) + j * side / 2.0
-        hy = offset_y + j * side * SQRT3 / 2.0
-    else:
-        hx = offset_x + i * side
-        hy = offset_y + j * side
-    vx, vy = _cell_vertices(kind, side)
+    # the cell centre is point(i, j), which rounds differently from x, y above
+    hx, hy = lattice.at(ox[row], oy[row]).point(i, j)
+    vx, vy = np.array(lattice.cell).T
     rx = (hx[:, None] + vx) - centers[disk, 0][:, None]
     ry = (hy[:, None] + vy) - centers[disk, 1][:, None]
     bx = np.roll(rx, -1, axis=1)
@@ -251,13 +211,13 @@ def _select_cells(disks: DiskSet, kind: str, side: float,
                       disk[starts + best_rank], best_area)
 
 
-def _select_at(disks: DiskSet, kind: str, side: float, offset: Point,
-               colour_fn: Callable[[int, int], int]):
-    """Labels, hit count and summed cell overlap of the selection at one offset."""
-    sel = _select_cells(disks, kind, side, np.array([offset[0]]), np.array([offset[1]]))
+def _select_at(disks: DiskSet, lattice: Lattice):
+    """Labels, hit count and summed cell overlap of the selection on this lattice."""
+    ox, oy = lattice.offset
+    sel = _select_cells(disks, lattice, np.array([ox]), np.array([oy]))
     labels: list[Optional[int]] = [None] * len(disks)
     for i, j, d in zip(sel.i.tolist(), sel.j.tolist(), sel.disk.tolist()):
-        labels[d] = colour_fn(int(i), int(j))
+        labels[d] = lattice.colour(int(i), int(j))
     return labels, int(sel.hits[0]), float(sel.weights[0])
 
 
@@ -273,15 +233,15 @@ def _finish(disks: DiskSet, labels, hits, cell_sum, method, k, info,
     return assignment, report
 
 
-def _solve_positioned(disks: DiskSet, base: Lattice, method: str, k: int,
-                      colour_fn: Callable[[int, int], int]):
+def _solve_positioned(disks: DiskSet, base: Lattice, method: str):
+    """Count-maximizing positioning, then selection; one colour per lattice colour."""
+    k = base.colours
     if len(disks) == 0:
         return _empty_result(method, k)
-    kind = "square" if isinstance(base, SquareLattice) else "triangular"
     copies = translate_to_cell(disks, base)
     witness = max_distinct_translate_depth(copies, base)
-    labels, hits, cell_sum = _select_at(disks, kind, base.side, witness.point, colour_fn)
-    info = LatticeInfo(kind, base.side, witness.point)
+    labels, hits, cell_sum = _select_at(disks, base.at(*witness.point))
+    info = LatticeInfo(base.kind, base.side, witness.point)
     return _finish(disks, labels, hits, cell_sum, method, k, info,
                    depth=witness.distinct_translates)
 
@@ -289,20 +249,17 @@ def _solve_positioned(disks: DiskSet, base: Lattice, method: str, k: int,
 def solve_basic_3colour(disks: DiskSet) -> tuple[Assignment, CoverageReport]:
     """3-colour selection on the side 4*sqrt(3)/3 lattice, count-maximizing
     positioning; same-coloured selections are pairwise disjoint."""
-    return _solve_positioned(disks, TriLattice(THREE_COLOUR_SIDE), "basic3", 3,
-                             lambda i, j: (i - j) % 3)
+    return _solve_positioned(disks, TriLattice(THREE_COLOUR_SIDE), "basic3")
 
 
 def solve_rado_1colour(disks: DiskSet) -> tuple[Assignment, CoverageReport]:
     """Single-colour selection on the side-4 lattice; all selections disjoint."""
-    return _solve_positioned(disks, TriLattice(ONE_COLOUR_SIDE), "rado1", 1,
-                             lambda i, j: 0)
+    return _solve_positioned(disks, TriLattice(ONE_COLOUR_SIDE, colours=1), "rado1")
 
 
 def solve_square_2colour(disks: DiskSet) -> tuple[Assignment, CoverageReport]:
     """2-colour selection on the checkerboard square lattice of side 2*sqrt(2)."""
-    return _solve_positioned(disks, SquareLattice(TWO_COLOUR_SIDE), "square2", 2,
-                             lambda i, j: (i + j) % 2)
+    return _solve_positioned(disks, SquareLattice(TWO_COLOUR_SIDE), "square2")
 
 
 def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
@@ -339,7 +296,7 @@ def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
     labels: list[Optional[int]] = [None] * len(disks)
     for (i, j), idx in cells.items():
         labels[idx] = colouring.colour(i, j)
-    info = LatticeInfo("triangular", lat.side, lat.offset)
+    info = LatticeInfo(lat.kind, lat.side, lat.offset)
     return _finish(disks, labels, len(cells), None, f"loeschian{k}", k, info)
 
 
@@ -357,37 +314,30 @@ def solve_weighted_3colour(disks: DiskSet,
     copies = translate_to_cell(disks, base)
     witness = max_distinct_translate_depth(copies, base)
 
-    xs = [np.array([witness.point[0]])]
-    ys = [np.array([witness.point[1]])]
-    if sampling.include_arrangement_candidates:
-        centers = np.array([tc.circle.center for tc in copies], dtype=float)
-        radii = np.array([tc.circle.radius for tc in copies], dtype=float)
-        verts = _pair_intersections(centers, radii)
-        a, b = base.affine_array(verts[:, 0], verts[:, 1])
-        inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
-        wx, wy, _, _ = _wrap_to_cell(base, centers[:, 0], centers[:, 1])
-        xs += [verts[inside, 0], wx]
-        ys += [verts[inside, 1], wy]
+    centers = np.array([tc.circle.center for tc in copies], dtype=float)
+    radii = np.array([tc.circle.radius for tc in copies], dtype=float)
+    verts = _pair_intersections(centers, radii)
+    a, b = base.affine(verts[:, 0], verts[:, 1])
+    inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
+    wx, wy, _, _ = _wrap_to_cell(base, centers[:, 0], centers[:, 1])
     g = sampling.grid_resolution
     grid = (np.arange(g) + 0.5) / g
     ga, gb = np.meshgrid(grid, grid)
-    gx, gy = base.point_from_affine(ga.ravel(), gb.ravel())
-    ox = np.concatenate(xs + [gx])
-    oy = np.concatenate(ys + [gy])
+    gx, gy = base.point(ga.ravel(), gb.ravel())
+    ox = np.concatenate([[witness.point[0]], verts[inside, 0], wx, gx])
+    oy = np.concatenate([[witness.point[1]], verts[inside, 1], wy, gy])
 
     rows = max(1, _CHUNK_BYTES // (_PAIR_BYTES * len(disks)))
     weights = np.concatenate([
-        _select_cells(disks, "triangular", THREE_COLOUR_SIDE,
-                      ox[s:s + rows], oy[s:s + rows]).weights
+        _select_cells(disks, base, ox[s:s + rows], oy[s:s + rows]).weights
         for s in range(0, len(ox), rows)]).tolist()
     oxs = ox.tolist()
     oys = oy.tolist()
     best = max(range(len(weights)), key=lambda t: (weights[t], -oxs[t], -oys[t]))
     best_offset = Point(oxs[best], oys[best])
 
-    labels, hits, total = _select_at(disks, "triangular", THREE_COLOUR_SIDE,
-                                     best_offset, lambda i, j: (i - j) % 3)
-    info = LatticeInfo("triangular", THREE_COLOUR_SIDE, best_offset)
+    labels, hits, total = _select_at(disks, base.at(*best_offset))
+    info = LatticeInfo(base.kind, base.side, best_offset)
     return _finish(disks, labels, hits, total, "weighted3", 3, info)
 
 

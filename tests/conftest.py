@@ -13,7 +13,7 @@ from diskpack import (EPS, Circle, DepthWitness, DiskSet, InputError, OffsetSamp
                       THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, TranslatedCircle, TriLattice,
                       circle_polygon_intersection_area, gen_clustered, gen_random,
                       gen_spirograph, max_distinct_translate_depth, translate_to_cell)
-from diskpack.arrangement import _distinct_counts, _pair_intersections
+from diskpack.arrangement import _distinct_counts, _membership_chunks, _pair_intersections
 from diskpack.lattice import Lattice, LatticePoint
 from diskpack.selector import LatticeInfo, _empty_result, _finish
 
@@ -37,6 +37,24 @@ def grid_depth_oracle(circles, resolution=900, bbox=None):
         d2 = (xs[:, None] - centers[None, :, 0]) ** 2 + (y - centers[None, :, 1]) ** 2
         best = max(best, int((d2 <= lim2[None, :]).sum(axis=1).max()))
     return best
+
+
+def max_depth(circles: Sequence[Circle]) -> tuple[Point, int]:
+    """Point of maximum coverage depth over a plain set of circles: every
+    pairwise intersection and centre, scored by closed-disk membership."""
+    if not circles:
+        raise InputError("max_depth needs at least one circle")
+    centers = np.array([c.center for c in circles], dtype=float)
+    radii = np.array([c.radius for c in circles], dtype=float)
+    verts = _pair_intersections(centers, radii)
+    cands = np.concatenate([verts, centers]) if len(verts) else centers
+    counts = np.empty(len(cands), dtype=np.int64)
+    for base, memb in _membership_chunks(cands, centers, radii):
+        counts[base:base + len(memb)] = memb.sum(axis=1)
+    best = int(counts.max())
+    at_best = cands[counts == best]
+    k = np.lexsort((at_best[:, 1], at_best[:, 0]))[0]
+    return Point(float(at_best[k, 0]), float(at_best[k, 1])), best
 
 
 def grid_distinct_oracle(copies, lattice, resolution=800):
@@ -379,32 +397,27 @@ def reference_weight_at_offset(disks: DiskSet, offset: Point,
 def reference_select_at(disks: DiskSet, lat: Lattice, colour_fn):
     """(labels, hits, cell_sum) of the scalar scan with the lattice as given."""
     points = lat.points_in_box(disks.bbox(pad=EPS))
-    cell_polygon = ((lambda lp: lat.voronoi_cell(lp.position))
-                    if isinstance(lat, SquareLattice)
-                    else (lambda lp: lat.voronoi_cell_at(lp.i, lp.j).vertices()))
-    return reference_select_by_cell_overlap(disks, lat, points, cell_polygon,
+    return reference_select_by_cell_overlap(disks, lat, points,
+                                            lambda lp: lat.cell_polygon(lp.i, lp.j),
                                             lambda lp: colour_fn(lp.i, lp.j))
 
 
 REFERENCE_POSITIONED = {
-    "basic3": (TriLattice, THREE_COLOUR_SIDE, 3, lambda i, j: (i - j) % 3),
-    "rado1": (TriLattice, ONE_COLOUR_SIDE, 1, lambda i, j: 0),
-    "square2": (SquareLattice, TWO_COLOUR_SIDE, 2, lambda i, j: (i + j) % 2),
+    "basic3": (TriLattice(THREE_COLOUR_SIDE), 3, lambda i, j: (i - j) % 3),
+    "rado1": (TriLattice(ONE_COLOUR_SIDE, colours=1), 1, lambda i, j: 0),
+    "square2": (SquareLattice(TWO_COLOUR_SIDE), 2, lambda i, j: (i + j) % 2),
 }
 
 
 def reference_solve_positioned(disks: DiskSet, method: str):
     """basic3, rado1 or square2 with the scalar selection scan."""
-    cls, side, k, colour_fn = REFERENCE_POSITIONED[method]
+    base, k, colour_fn = REFERENCE_POSITIONED[method]
     if len(disks) == 0:
         return _empty_result(method, k)
-    base = cls(side)
     copies = translate_to_cell(disks, base)
     witness = max_distinct_translate_depth(copies, base)
-    labels, hits, cell_sum = reference_select_at(disks, cls(side, offset=witness.point),
-                                                 colour_fn)
-    kind = "square" if cls is SquareLattice else "triangular"
-    info = LatticeInfo(kind, side, witness.point)
+    labels, hits, cell_sum = reference_select_at(disks, base.at(*witness.point), colour_fn)
+    info = LatticeInfo(base.kind, base.side, witness.point)
     return _finish(disks, labels, hits, cell_sum, method, k, info,
                    depth=witness.distinct_translates)
 
@@ -418,20 +431,19 @@ def reference_solve_weighted(disks: DiskSet, sampling: OffsetSampling):
     witness = max_distinct_translate_depth(copies, base)
 
     offsets: list[Point] = [witness.point]
-    if sampling.include_arrangement_candidates:
-        centers = np.array([tc.circle.center for tc in copies], dtype=float)
-        radii = np.array([tc.circle.radius for tc in copies], dtype=float)
-        verts = _pair_intersections(centers, radii)
-        for x, y in verts:
-            a, b = base.affine(x, y)
-            if 0.0 <= a < 1.0 and 0.0 <= b < 1.0:
-                offsets.append(Point(float(x), float(y)))
-        for x, y in centers:
-            offsets.append(base.wrap_to_cell(Point(float(x), float(y)))[0])
+    centers = np.array([tc.circle.center for tc in copies], dtype=float)
+    radii = np.array([tc.circle.radius for tc in copies], dtype=float)
+    verts = _pair_intersections(centers, radii)
+    for x, y in verts:
+        a, b = base.affine(x, y)
+        if 0.0 <= a < 1.0 and 0.0 <= b < 1.0:
+            offsets.append(Point(float(x), float(y)))
+    for x, y in centers:
+        offsets.append(base.wrap_to_cell(Point(float(x), float(y)))[0])
     g = sampling.grid_resolution
     for jj in range(g):
         for ii in range(g):
-            offsets.append(base.point_from_affine((ii + 0.5) / g, (jj + 0.5) / g))
+            offsets.append(base.point((ii + 0.5) / g, (jj + 0.5) / g))
 
     bbox = disks.bbox(pad=EPS)
     weights = [reference_weight_at_offset(disks, o, bbox)[0] for o in offsets]

@@ -7,10 +7,10 @@ import pytest
 from diskpack import (Circle, DiskSet, InputError, ONE_COLOUR_SIDE, Point,
                       SplitMix64, SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       TranslatedCircle, TriLattice, exact_union_area, gen_chain,
-                      gen_random, gen_spirograph, max_depth,
+                      gen_random, gen_spirograph,
                       max_distinct_translate_depth, translate_to_cell)
 from diskpack.arrangement import _cell_sweep_candidates, _mod_two_pi, _wrap_to_cell
-from conftest import (grid_depth_oracle, grid_distinct_oracle, quick_corpus,
+from conftest import (grid_depth_oracle, grid_distinct_oracle, max_depth, quick_corpus,
                       reference_max_distinct_translate_depth,
                       reference_sweep_candidates, reference_sweep_inputs,
                       reference_translate_to_cell)

@@ -5,12 +5,13 @@ import pytest
 from diskpack import (Circle, DiskSet, InputError, Point, SplitMix64,
                       TriLattice, enclosing_triangle_side, gen_chain,
                       gen_clustered, gen_depth_reduction, gen_random,
-                      gen_spirograph, max_depth, max_distinct_translate_depth,
+                      gen_spirograph, max_distinct_translate_depth,
                       translate_to_cell)
 from diskpack.files import (instance_sha256, parse_instance, parse_result,
                             serialize_instance, serialize_result)
 from diskpack.prng import double_block, u64_block
 from diskpack import solve_basic_3colour, verify
+from conftest import max_depth
 
 
 class TestSplitMix:

@@ -1,11 +1,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from diskpack import (InputError, LoeschianColouring, Point, SplitMix64,
                       SquareLattice, THREE_COLOUR_SIDE, TriLattice,
                       loeschian_decompose)
+from conftest import REFERENCE_POSITIONED
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,7 +54,7 @@ class TestTriLattice:
 
     def test_wrap_identity_and_translates(self):
         lat = TriLattice(THREE_COLOUR_SIDE, offset=Point(0.3, -0.8))
-        inside = lat.point_from_affine(0.4, 0.6)
+        inside = lat.point(0.4, 0.6)
         cp, t = lat.wrap_to_cell(inside)
         assert t == (0, 0)
         assert math.dist(cp, inside) < 1e-12
@@ -138,6 +140,90 @@ class TestSquareLattice:
         assert len(cell) == 4
         xs = [v[0] for v in cell]
         assert max(xs) - min(xs) == pytest.approx(lat.side, abs=1e-12)
+
+
+POSITIONED = sorted(REFERENCE_POSITIONED)
+
+
+def _offset_lattice(method):
+    return REFERENCE_POSITIONED[method][0].at(0.3, -0.7)
+
+
+class TestPositionedLattices:
+    @pytest.mark.parametrize("method", POSITIONED)
+    def test_same_colour_min_distance(self, method):
+        lat = _offset_lattice(method)
+        pts = lat.points_in_box((-9.0, -9.0, 9.0, 9.0))
+        assert {p.colour for p in pts} == set(range(lat.colours))
+        best = min(math.dist(p.position, q.position)
+                   for p, q in itertools.combinations(pts, 2) if p.colour == q.colour)
+        assert best >= 4.0 - 1e-9
+
+    @pytest.mark.parametrize("method", POSITIONED)
+    def test_scalar_and_array_forms_agree(self, method):
+        lat = _offset_lattice(method)
+        rng = SplitMix64(17)
+        xs = [-30.0 + 60.0 * rng.next_double() for _ in range(500)] + [0.0, -0.0, 1e12]
+        ys = [-30.0 + 60.0 * rng.next_double() for _ in range(500)] + [-0.0, 0.0, -3e11]
+        a, b = lat.affine(np.array(xs), np.array(ys))
+        assert list(zip(a.tolist(), b.tolist())) == [lat.affine(x, y) for x, y in zip(xs, ys)]
+        px, py = lat.point(a, b)
+        assert list(zip(px.tolist(), py.tolist())) == \
+            [tuple(lat.point(s, t)) for s, t in zip(a.tolist(), b.tolist())]
+        ij = np.array([-3.0, 0.0, 2.0, 7.0])
+        px, py = lat.point(ij, ij[::-1])
+        assert list(zip(px.tolist(), py.tolist())) == \
+            [tuple(lat.point(int(i), int(j))) for i, j in zip(ij, ij[::-1])]
+
+    @pytest.mark.parametrize("method", POSITIONED)
+    def test_affine_round_trip(self, method):
+        lat = _offset_lattice(method)
+        rng = SplitMix64(23)
+        for _ in range(300):
+            a = -50.0 + 100.0 * rng.next_double()
+            b = -50.0 + 100.0 * rng.next_double()
+            a2, b2 = lat.affine(*lat.point(a, b))
+            assert a2 == pytest.approx(a, abs=1e-12)
+            assert b2 == pytest.approx(b, abs=1e-12)
+        for i, j in itertools.product(range(-4, 5), repeat=2):
+            a2, b2 = lat.affine(*lat.point(i, j))
+            assert (round(a2), round(b2)) == (i, j)
+            assert abs(a2 - i) < 1e-12 and abs(b2 - j) < 1e-12
+
+    @pytest.mark.parametrize("method", POSITIONED)
+    def test_nearest_matches_brute_force(self, method):
+        lat = _offset_lattice(method)
+        rng = SplitMix64(31)
+        pts = [Point(-12.0 + 24.0 * rng.next_double(), -12.0 + 24.0 * rng.next_double())
+               for _ in range(300)]
+        # ties: lattice points, edge midpoints and Voronoi cell vertices
+        for i, j in itertools.product(range(-2, 3), repeat=2):
+            pts.append(lat.point(i, j))
+            pts.append(lat.point(i + 0.5, j))
+            pts.append(lat.point(i, j + 0.5))
+            pts.extend(lat.cell_polygon(i, j))
+        for p in pts:
+            a, b = lat.affine(p[0], p[1])
+            window = itertools.product(range(math.floor(a) - 2, math.floor(a) + 3),
+                                       range(math.floor(b) - 2, math.floor(b) + 3))
+            best = min(((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2, i, j)
+                       for i, j in window for q in [lat.point(i, j)])
+            assert lat.nearest(p) == best[1:]
+
+    @pytest.mark.parametrize("method", POSITIONED)
+    def test_box_points_match_points_in_box(self, method):
+        lat = _offset_lattice(method)
+        rng = SplitMix64(37)
+        for _ in range(20):
+            x0 = -10.0 + 20.0 * rng.next_double()
+            y0 = -10.0 + 20.0 * rng.next_double()
+            bbox = (x0, y0, x0 + 12.0 * rng.next_double(), y0 + 12.0 * rng.next_double())
+            i, j = (g.ravel() for g in np.meshgrid(np.arange(-12.0, 13.0), np.arange(-12.0, 13.0)))
+            x, y, listed = lat.box_points(i, j, bbox)
+            got = sorted((int(b), int(a), px, py) for a, b, px, py, ok
+                         in zip(i, j, x.tolist(), y.tolist(), listed) if ok)
+            want = [(p.j, p.i, *p.position) for p in lat.points_in_box(bbox)]
+            assert got == want
 
 
 class TestLoeschian:

@@ -131,6 +131,29 @@ class TestCli:
                      "--cells", "-o", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_render_unreadable_result_exit_2(self, tmp_path: Path):
+        inst = tmp_path / "inst.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for res in (tmp_path / "missing.json", binary):
+            assert main(["render", "-i", str(inst), "-r", str(res),
+                         "-o", str(tmp_path / "out.svg")]) == 2
+
+    def test_render_unknown_lattice_kind_exit_2(self, tmp_path: Path, capsys):
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        main(["solve", "-i", str(inst), "-o", str(res)])
+        doc = json.loads(res.read_text())
+        doc["lattice"]["kind"] = "hexagonal"
+        res.write_text(json.dumps(doc))
+        svg = tmp_path / "out.svg"
+        assert main(["render", "-i", str(inst), "-r", str(res), "--lattice",
+                     "-o", str(svg)]) == 2
+        assert "hexagonal" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_depth_reduction_generate(self, tmp_path: Path):
         inst = tmp_path / "inst.json"
         out = tmp_path / "red.json"

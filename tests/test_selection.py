@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from diskpack import (EPS, DiskSet, OffsetSampling, ONE_COLOUR_SIDE, SquareLattice,
+from diskpack import (EPS, DiskSet, OffsetSampling, ONE_COLOUR_SIDE,
                       THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, gen_clustered, gen_random,
                       gen_spirograph, solve_basic_3colour, solve_rado_1colour,
                       solve_square_2colour, solve_weighted_3colour, verify)
@@ -58,8 +58,7 @@ def _boundary_disks():
 
 @pytest.mark.parametrize("method", sorted(REFERENCE_POSITIONED))
 def test_boundary_distances_match_scalar_reference(method):
-    cls, side, _, colour_fn = REFERENCE_POSITIONED[method]
-    kind = "square" if cls is SquareLattice else "triangular"
+    lattice, _, colour_fn = REFERENCE_POSITIONED[method]
     origin = (0.0, 0.0)
     pts = _boundary_disks()
     # one disk at a time, so the hit count shows each covering decision
@@ -67,10 +66,9 @@ def test_boundary_distances_match_scalar_reference(method):
     instances.append(DiskSet.from_pairs(pts))
     for ds in instances:
         for offset in (origin, (0.25, -0.5)):
-            lat = cls(side, offset=offset)
-            assert _select_at(ds, kind, side, lat.offset, colour_fn) == \
-                reference_select_at(ds, lat, colour_fn)
-    hits = [_select_at(DiskSet.from_pairs([p]), kind, side, origin, colour_fn)[1]
+            lat = lattice.at(*offset)
+            assert _select_at(ds, lat) == reference_select_at(ds, lat, colour_fn)
+    hits = [_select_at(DiskSet.from_pairs([p]), lattice.at(*origin))[1]
             for p in POW_DISAGREES]
     assert hits == [0, 1, 0, 1]
 
@@ -82,9 +80,6 @@ def test_weighted_solver_matches_scalar_reference(grid):
     for ds in corpus:
         sampling = OffsetSampling(grid_resolution=grid)
         assert solve_weighted_3colour(ds, sampling) == reference_solve_weighted(ds, sampling)
-    sampling = OffsetSampling(grid_resolution=grid, include_arrangement_candidates=False)
-    ds = corpus[3]
-    assert solve_weighted_3colour(ds, sampling) == reference_solve_weighted(ds, sampling)
 
 
 @pytest.mark.parametrize("d", [100.0, 3000.0, 1e6])
