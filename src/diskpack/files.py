@@ -13,6 +13,7 @@ from typing import Any
 
 from .errors import InputError
 from .geometry import Point
+from .lattice import lattice_of
 from .selector import Assignment, CoverageReport, LatticeInfo
 from .union_area import DiskSet
 
@@ -108,4 +109,7 @@ def parse_result(text: str) -> tuple[Assignment, dict[str, Any]]:
                                   Point(float(lat["offset"][0]), float(lat["offset"][1])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed result file: {exc}") from exc
+    if lattice is not None:
+        # rejects an unknown kind and a non-finite or non-positive side
+        lattice_of(lattice.kind, lattice.side, lattice.offset)
     return Assignment(labels, k, method, lattice), doc

@@ -33,7 +33,7 @@ from .geometry import EPS, Point, _edge_disk_area_array
 from .lattice import (Lattice, LoeschianColouring, SquareLattice, TriLattice,
                       ONE_COLOUR_SIDE, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       loeschian_decompose)
-from .union_area import DiskSet, exact_union_area
+from .union_area import DiskSet, _near_pairs, exact_union_area
 
 # byte budget of one chunk of offsets in the weighted solver's search; one
 # (offset, disk) pair holds about _PAIR_BYTES of selection temporaries
@@ -262,6 +262,62 @@ def solve_square_2colour(disks: DiskSet) -> tuple[Assignment, CoverageReport]:
     return _solve_positioned(disks, SquareLattice(TWO_COLOUR_SIDE), "square2")
 
 
+def _nearest_cells(disks: DiskSet, lat: Lattice):
+    """(i, j, disk) per occupied Voronoi cell, in (i, j) order: the disk
+    whose centre lies nearest the lattice point.
+
+    Repeats, for all disks at once, a scan in index order where a disk takes
+    the cell of ``lat.nearest`` (4 x 4 window, (d, i, j) key) from its holder
+    when d_new < d_cur - 1e-15.  Comparisons whose array distances lie within
+    1e-12 of the decision are made again with the scalar ``** 2`` distances
+    (CPython's ``x ** 2`` can round differently from x * x), so the result is
+    equal bit for bit.
+    """
+    centers = disks.centers_array()
+    x, y = centers[:, 0], centers[:, 1]
+    a, b = lat.affine(x, y)
+    step = np.arange(-1.0, 3.0)
+    wi = np.floor(a)[:, None] + np.tile(step, 4)
+    wj = np.floor(b)[:, None] + np.repeat(step, 4)
+    qx, qy = lat.point(wi, wj)
+    dx = x[:, None] - qx
+    dy = y[:, None] - qy
+    d2 = dx * dx + dy * dy
+    pick = np.argmin(d2, axis=1)
+    rows = np.arange(len(x))
+    i, j, d = wi[rows, pick], wj[rows, pick], d2[rows, pick]
+
+    def scalar_d2(t: int) -> float:
+        q = lat.point(int(i[t]), int(j[t]))
+        c = disks.centers[t]
+        return (c[0] - q[0]) ** 2 + (c[1] - q[1]) ** 2
+
+    near = (d2 - d[:, None] <= 1e-12 * (1.0 + d[:, None])).sum(axis=1) > 1
+    for t in np.flatnonzero(near).tolist():
+        i[t], j[t] = lat.nearest(disks.centers[t])
+        d[t] = scalar_d2(t)
+
+    # one group per cell, members in index order; the scan, one rank at a time
+    order = np.lexsort((rows, j, i))
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (i[order[1:]] != i[order[:-1]]) | (j[order[1:]] != j[order[:-1]])
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    width = int(np.diff(np.append(starts, len(x))).max())
+    member = np.full((len(starts), width), -1)
+    member[group, np.arange(len(x)) - starts[group]] = order
+    holder = member[:, 0].copy()
+    for t in range(1, width):
+        g = np.flatnonzero(member[:, t] >= 0)
+        new, cur = member[g, t], holder[g]
+        limit = d[cur] - 1e-15
+        better = d[new] < limit
+        for s in np.flatnonzero(np.abs(d[new] - limit) <= 1e-12).tolist():
+            better[s] = scalar_d2(int(new[s])) < scalar_d2(int(cur[s])) - 1e-15
+        holder[g[better]] = new[better]
+    return (i[holder].astype(np.int64), j[holder].astype(np.int64), holder)
+
+
 def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
     """k-colour selection for Loeschian k via the scaled sublattice colouring.
 
@@ -279,25 +335,12 @@ def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
     if len(disks) == 0:
         return _empty_result(f"loeschian{k}", k)
     lat = TriLattice(alpha_k(k))
-    colouring = LoeschianColouring(k)
-    cells: dict[tuple[int, int], int] = {}
-    for idx, c in enumerate(disks.centers):
-        ij = lat.nearest(c)
-        cur = cells.get(ij)
-        if cur is None:
-            cells[ij] = idx
-        else:
-            q = lat.point(*ij)
-            d_new = (c[0] - q[0]) ** 2 + (c[1] - q[1]) ** 2
-            cc = disks.centers[cur]
-            d_cur = (cc[0] - q[0]) ** 2 + (cc[1] - q[1]) ** 2
-            if d_new < d_cur - 1e-15:
-                cells[ij] = idx
+    i, j, idx = _nearest_cells(disks, lat)
     labels: list[Optional[int]] = [None] * len(disks)
-    for (i, j), idx in cells.items():
-        labels[idx] = colouring.colour(i, j)
+    for d, c in zip(idx.tolist(), LoeschianColouring(k).colour(i, j).tolist()):
+        labels[d] = c
     info = LatticeInfo(lat.kind, lat.side, lat.offset)
-    return _finish(disks, labels, len(cells), None, f"loeschian{k}", k, info)
+    return _finish(disks, labels, len(idx), None, f"loeschian{k}", k, info)
 
 
 def solve_weighted_3colour(disks: DiskSet,
@@ -341,6 +384,35 @@ def solve_weighted_3colour(disks: DiskSet,
     return _finish(disks, labels, hits, total, "weighted3", 3, info)
 
 
+def _check_same_colour(disks: DiskSet, labels) -> None:
+    """Raise for the first pair of one colour closer than 2r - 1e-8, taking
+    colours in order of first appearance, then pairs (i, j) in index order.
+
+    Candidate pairs come from the union-area grid; each one closer than 2r
+    in array arithmetic is retested with the scalar ``math.hypot``.
+    """
+    rank: dict[int, int] = {}
+    colour = np.array([-1 if c is None else rank.setdefault(c, len(rank))
+                       for c in labels], dtype=np.intp)
+    centers = disks.centers_array()
+    x, y = centers[:, 0], centers[:, 1]
+    reach = 2.0 * disks.radius
+    threshold = reach - 1e-8
+    found = []
+    for _, _, i, j in _near_pairs(x, y, reach):
+        keep = (i < j) & (colour[i] >= 0) & (colour[i] == colour[j])
+        i, j = i[keep], j[keep]
+        close = np.hypot(x[i] - x[j], y[i] - y[j]) < reach
+        for a, b in zip(i[close].tolist(), j[close].tolist()):
+            p, q = disks.centers[a], disks.centers[b]
+            if math.hypot(p[0] - q[0], p[1] - q[1]) < threshold:
+                found.append((colour[a], a, b))
+    if found:
+        _, a, b = min(found)
+        raise VerificationError(
+            f"disks {a} and {b} share colour {labels[a]} but overlap")
+
+
 def verify(disks: DiskSet, assignment: Assignment) -> CoverageReport:
     """Recompute areas and check validity; raises on same-colour overlap."""
     if len(assignment.labels) != len(disks):
@@ -348,19 +420,7 @@ def verify(disks: DiskSet, assignment: Assignment) -> CoverageReport:
     for c in assignment.labels:
         if c is not None and not (0 <= c < assignment.k):
             raise VerificationError(f"colour {c} outside 0..{assignment.k - 1}")
-    by_colour: dict[int, list[int]] = {}
-    for i, c in enumerate(assignment.labels):
-        if c is not None:
-            by_colour.setdefault(c, []).append(i)
-    threshold = 2.0 * disks.radius - 1e-8
-    for c, idxs in by_colour.items():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                i, j = idxs[a], idxs[b]
-                p, q = disks.centers[i], disks.centers[j]
-                if math.hypot(p[0] - q[0], p[1] - q[1]) < threshold:
-                    raise VerificationError(
-                        f"disks {i} and {j} share colour {c} but overlap")
+    _check_same_colour(disks, assignment.labels)
     a = exact_union_area(disks)
     a_c = exact_union_area(disks.subset(assignment.selected_indices())) \
         if assignment.selected_count else 0.0

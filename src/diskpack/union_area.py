@@ -9,6 +9,13 @@ counterclockwise arc from phi1 to phi2 on circle (c, R) contributes
 
 by Green's theorem.  Summing contributions over all surviving arcs gives the
 union area.
+
+The routine is array code over the neighbour pairs of a sorted cell grid
+(``_near_pairs``), so it costs O(n log n + pairs) whatever the bounding box.
+Its arithmetic is that of a loop over circles, operation for operation (NumPy
+angles and midpoints, scalar ``math.sin``/``math.cos`` for the arc terms, one
+sequential sum in (circle, arc) order), so the area is the same bit for bit
+as that loop's, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -63,44 +70,148 @@ class DiskSet:
         return DiskSet(self.radius, tuple(self.centers[i] for i in indices))
 
 
-def _uncovered_arcs(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Complement on the circle of a union of (start, length) angle intervals.
+# Pairs of points come from a grid of square cells sorted by their integer
+# (column, row) pair, in blocks of about _BLOCK_PAIRS directed pairs; each
+# pair holds a few hundred bytes of temporaries
+_BLOCK_PAIRS = 1 << 12
+_AROUND = [(dc, dr) for dc in (-1, 0, 1) for dr in (-1, 0, 1)]
 
-    Returns (phi1, phi2) arcs with phi2 > phi1; phi2 may exceed 2*pi for the
-    single arc that wraps through zero.
+
+def _near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
+    """Blocks ``(lo, hi, i, j)`` of directed index pairs: for every i in
+    [lo, hi), ascending, each j != i whose point lies in the 3 x 3 cells
+    around i's cell.  The j include every point closer to i than ``reach``
+    in both coordinates.
+
+    A cell's side is ``reach`` widened by 2^-50 of the largest coordinate, so
+    the rounding of ``x / side`` cannot put two points closer than ``reach``
+    two cells apart, and cell numbers stay below 2^51 for any finite input.
+    Cost is O(n log n + pairs), whatever the bounding box.
     """
-    if not intervals:
-        return [(0.0, TWO_PI)]
-    parts: list[list[float]] = []
-    for s, length in intervals:
-        s = s % TWO_PI
-        e = s + length
-        if e <= TWO_PI:
-            parts.append([s, e])
-        else:
-            parts.append([s, TWO_PI])
-            parts.append([0.0, e - TWO_PI])
-    parts.sort()
-    merged = [parts[0]]
-    for s, e in parts[1:]:
-        if s <= merged[-1][1] + 1e-15:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    gaps = []
-    for (s0, e0), (s1, e1) in zip(merged, merged[1:]):
-        if s1 - e0 > 1e-15:
-            gaps.append((e0, s1))
-    wrap = (TWO_PI - merged[-1][1]) + merged[0][0]
-    if wrap > 1e-15:
-        gaps.append((merged[-1][1], merged[0][0] + TWO_PI))
-    return gaps
+    n = len(x)
+    if n == 0:
+        return
+    side = reach + max(float(np.abs(x).max()), float(np.abs(y).max())) * 2.0 ** -50
+    col = np.floor(x / side).astype(np.int64)
+    row = np.floor(y / side).astype(np.int64)
+    order = np.lexsort((row, col))
+    col, row = col[order], row[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1])
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, n))
+    cell_of = np.empty(n, dtype=np.intp)
+    cell_of[order] = np.cumsum(new) - 1
+    # dense ranks order the cells as (column, row) does, with keys below n^2
+    col, row = col[starts], row[starts]
+    cols, col_rank = np.unique(col, return_inverse=True)
+    rows, row_rank = np.unique(row, return_inverse=True)
+    keys = col_rank * len(rows) + row_rank
+
+    def find(values, wanted):
+        t = np.minimum(np.searchsorted(values, wanted), len(values) - 1)
+        return t, values[t] == wanted
+
+    near_start = np.zeros((len(starts), 9), dtype=np.intp)
+    near_count = np.zeros((len(starts), 9), dtype=np.intp)
+    for k, (dc, dr) in enumerate(_AROUND):
+        tc, hit_c = find(cols, col + dc)
+        tr, hit_r = find(rows, row + dr)
+        cell, hit = find(keys, tc * len(rows) + tr)
+        hit &= hit_c & hit_r
+        near_start[hit, k] = starts[cell[hit]]
+        near_count[hit, k] = counts[cell[hit]]
+
+    per_point = near_count[cell_of].sum(axis=1)
+    before = np.cumsum(per_point) - per_point
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _BLOCK_PAIRS)))
+        cnt = near_count[cell_of[lo:hi]].ravel()
+        first = np.repeat(near_start[cell_of[lo:hi]].ravel() - (np.cumsum(cnt) - cnt), cnt)
+        j = order[first + np.arange(len(first))]
+        i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
+        other = j != i
+        yield lo, hi, i[other], j[other]
+        lo = hi
 
 
-def _arc_contribution(cx: float, cy: float, r: float, p1: float, p2: float) -> float:
-    return 0.5 * (r * r * (p2 - p1)
-                  + r * (cx * (math.sin(p2) - math.sin(p1))
-                         - cy * (math.cos(p2) - math.cos(p1))))
+def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
+                 i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Area terms of circles lo..hi-1 in (circle, arc) order: one per
+    surviving boundary arc, and pi*r^2 for a circle that meets no other.
+
+    ``i``, ``j`` are ``_near_pairs``'s directed pairs for these circles.
+    """
+    dx = px[j] - px[i]
+    dy = py[j] - py[i]
+    d = np.hypot(dx, dy)
+    near = (d > 0.0) & (d < 2.0 * r)
+    ci = i[near]
+    # each neighbour covers the angles [alpha - beta, alpha + beta] of circle ci
+    alpha = np.arctan2(dy[near], dx[near])
+    beta = np.arccos(np.clip(d[near] / (2.0 * r), -1.0, 1.0))
+    s = np.mod(alpha - beta, TWO_PI)
+    e = s + 2.0 * beta
+    wraps = e > TWO_PI
+    # a cover that passes 2*pi splits into [s, 2*pi] and [0, e - 2*pi]
+    pc = np.concatenate([ci, ci[wraps]])
+    ps = np.concatenate([s, np.zeros(int(wraps.sum()))])
+    pe = np.concatenate([np.where(wraps, TWO_PI, e), e[wraps] - TWO_PI])
+    order = np.lexsort((pe, ps, pc))
+    pc, ps, pe = pc[order], ps[order], pe[order]
+
+    # a run of overlapping covers ends at the running max of their ends,
+    # a segmented prefix max taken by doubling (max is exact)
+    first = np.ones(len(pc), dtype=bool)
+    first[1:] = pc[1:] != pc[:-1]
+    starts = np.flatnonzero(first)
+    rank = np.arange(len(pc)) - np.repeat(starts, np.diff(np.append(starts, len(pc))))
+    end = pe.copy()
+    step = 1
+    while step < len(pc):
+        end[step:] = np.where(rank[step:] >= step,
+                              np.maximum(end[step:], end[:-step]), end[step:])
+        step *= 2
+
+    # gaps between runs, and the gap through angle 0 after each circle's last run
+    brk = np.flatnonzero(~first[1:] & ~(ps[1:] <= end[:-1] + 1e-15)) + 1
+    brk = brk[ps[brk] - end[brk - 1] > 1e-15]
+    last = np.append(starts[1:], len(pc))[:len(starts)] - 1
+    wrap = (TWO_PI - end[last]) + ps[starts] > 1e-15
+    gc = np.concatenate([pc[brk], pc[starts[wrap]]])
+    p1 = np.concatenate([end[brk - 1], end[last[wrap]]])
+    p2 = np.concatenate([ps[brk], ps[starts[wrap]] + TWO_PI])
+    order = np.argsort(np.concatenate([2 * brk, 2 * last[wrap] + 1]), kind="stable")
+    gc, p1, p2 = gc[order], p1[order], p2[order]
+
+    # drop arcs whose midpoint lies strictly inside a disk of the circle's
+    # 3 x 3 cells; no other disk can reach it
+    mid = 0.5 * (p1 + p2)
+    mx = px[gc] + r * np.cos(mid)
+    my = py[gc] + r * np.sin(mid)
+    lo_pair = np.searchsorted(i, gc)
+    cnt = np.searchsorted(i, gc, side="right") - lo_pair
+    arc = np.repeat(np.arange(len(gc)), cnt)
+    other = j[np.repeat(lo_pair - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(arc))]
+    dist2 = (mx[arc] - px[other]) ** 2 + (my[arc] - py[other]) ** 2
+    covered = np.bincount(arc[dist2 < (r - EPS) ** 2], minlength=len(gc)) > 0
+    gc, p1, p2 = gc[~covered], p1[~covered], p2[~covered]
+
+    def trig(f, a):
+        return np.fromiter(map(f, a.tolist()), dtype=float, count=len(a))
+
+    cx = px[gc]
+    cy = py[gc]
+    terms = 0.5 * (r * r * (p2 - p1)
+                   + r * (cx * (trig(math.sin, p2) - trig(math.sin, p1))
+                          - cy * (trig(math.cos, p2) - trig(math.cos, p1))))
+    alone = np.ones(hi - lo, dtype=bool)
+    alone[ci - lo] = False
+    alone = np.flatnonzero(alone) + lo
+    circle = np.concatenate([gc, alone])
+    terms = np.concatenate([terms, np.full(len(alone), math.pi * r * r)])
+    return terms[np.argsort(circle, kind="stable")]
 
 
 def exact_union_area(disks: DiskSet) -> float:
@@ -109,36 +220,14 @@ def exact_union_area(disks: DiskSet) -> float:
         return 0.0
     r = disks.radius
     centers = sorted(set(disks.centers))  # coincident circles collapse
-    n = len(centers)
-    if n == 1:
+    if len(centers) == 1:
         return math.pi * r * r
-    pts = np.array(centers, dtype=float)
-    total = 0.0
-    for i in range(n):
-        dx = pts[:, 0] - pts[i, 0]
-        dy = pts[:, 1] - pts[i, 1]
-        d = np.hypot(dx, dy)
-        near = np.nonzero((d > 0.0) & (d < 2.0 * r))[0]
-        if near.size == 0:
-            total += math.pi * r * r
-            continue
-        alpha = np.arctan2(dy[near], dx[near])
-        beta = np.arccos(np.clip(d[near] / (2.0 * r), -1.0, 1.0))
-        intervals = [(float(a - b), float(2.0 * b)) for a, b in zip(alpha, beta)]
-        arcs = _uncovered_arcs(intervals)
-        if not arcs:
-            continue
-        # midpoint classification: drop arcs strictly inside some other disk
-        mids = np.array([(0.5 * (p1 + p2)) for p1, p2 in arcs])
-        mx = pts[i, 0] + r * np.cos(mids)
-        my = pts[i, 1] + r * np.sin(mids)
-        dist2 = (mx[:, None] - pts[None, :, 0]) ** 2 + (my[:, None] - pts[None, :, 1]) ** 2
-        dist2[:, i] = np.inf
-        covered = (dist2 < (r - EPS) ** 2).any(axis=1)
-        for keep, (p1, p2) in zip(~covered, arcs):
-            if keep:
-                total += _arc_contribution(pts[i, 0], pts[i, 1], r, p1, p2)
-    return float(total)
+    px, py = np.array(centers, dtype=float).T
+    terms = [np.zeros(1)]
+    for lo, hi, i, j in _near_pairs(px, py, 2.0 * r):
+        terms.append(_block_terms(px, py, r, lo, hi, i, j))
+    # added one by one in (circle, arc) order, as a loop over circles would
+    return float(np.cumsum(np.concatenate(terms))[-1])
 
 
 class MCEstimate(NamedTuple):
@@ -170,10 +259,14 @@ def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimat
         xs = xmin + w * u[0::2]
         ys = ymin + h * u[1::2]
         covered = np.zeros(m, dtype=bool)
-        for base in range(0, len(pts), 64):
-            blk = pts[base:base + 64]
-            d2 = (xs[:, None] - blk[None, :, 0]) ** 2 + (ys[:, None] - blk[None, :, 1]) ** 2
-            covered |= (d2 <= r2).any(axis=1)
+        dx = np.empty(m)
+        dy = np.empty(m)
+        for x, y in pts.tolist():
+            np.subtract(xs, x, out=dx)
+            np.subtract(ys, y, out=dy)
+            np.multiply(dx, dx, out=dx)
+            np.multiply(dy, dy, out=dy)
+            covered |= np.add(dx, dy, out=dx) <= r2
         hits += int(covered.sum())
         done += m
     p = hits / samples

@@ -8,13 +8,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import pytest
 
-from diskpack import (EPS, Circle, DepthWitness, DiskSet, InputError, OffsetSampling,
-                      ONE_COLOUR_SIDE, Point, SplitMix64, SquareLattice,
-                      THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, TranslatedCircle, TriLattice,
+from diskpack import (EPS, Circle, DepthWitness, DiskSet, InputError, LoeschianColouring,
+                      MCEstimate, OffsetSampling, ONE_COLOUR_SIDE, Point, SplitMix64,
+                      SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, TranslatedCircle,
+                      TriLattice, VerificationError, alpha_k,
                       circle_polygon_intersection_area, gen_clustered, gen_random,
                       gen_spirograph, max_distinct_translate_depth, translate_to_cell)
 from diskpack.arrangement import _distinct_counts, _membership_chunks, _pair_intersections
+from diskpack.geometry import TWO_PI
 from diskpack.lattice import Lattice, LatticePoint
+from diskpack.prng import double_block
 from diskpack.selector import LatticeInfo, _empty_result, _finish
 
 
@@ -457,3 +460,157 @@ def reference_solve_weighted(disks: DiskSet, sampling: OffsetSampling):
         labels[idx] = (lp.i - lp.j) % 3
     info = LatticeInfo("triangular", THREE_COLOUR_SIDE, best_offset)
     return _finish(disks, labels, len(picks), total, "weighted3", 3, info)
+
+
+# Scalar reference implementations of the union-area layer, the same-colour
+# check of verify() and the k-colour cell assignment.  The array code in
+# diskpack must reproduce them bit for bit.
+
+def _reference_uncovered_arcs(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Complement on the circle of a union of (start, length) angle intervals.
+
+    Returns (phi1, phi2) arcs with phi2 > phi1; phi2 may exceed 2*pi for the
+    single arc that wraps through zero.
+    """
+    if not intervals:
+        return [(0.0, TWO_PI)]
+    parts: list[list[float]] = []
+    for s, length in intervals:
+        s = s % TWO_PI
+        e = s + length
+        if e <= TWO_PI:
+            parts.append([s, e])
+        else:
+            parts.append([s, TWO_PI])
+            parts.append([0.0, e - TWO_PI])
+    parts.sort()
+    merged = [parts[0]]
+    for s, e in parts[1:]:
+        if s <= merged[-1][1] + 1e-15:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    gaps = []
+    for (s0, e0), (s1, e1) in zip(merged, merged[1:]):
+        if s1 - e0 > 1e-15:
+            gaps.append((e0, s1))
+    wrap = (TWO_PI - merged[-1][1]) + merged[0][0]
+    if wrap > 1e-15:
+        gaps.append((merged[-1][1], merged[0][0] + TWO_PI))
+    return gaps
+
+
+def _reference_arc_contribution(cx: float, cy: float, r: float, p1: float, p2: float) -> float:
+    return 0.5 * (r * r * (p2 - p1)
+                  + r * (cx * (math.sin(p2) - math.sin(p1))
+                         - cy * (math.cos(p2) - math.cos(p1))))
+
+
+def reference_exact_union_area(disks: DiskSet) -> float:
+    """Exact area of the union by the per-circle loop; empty input gives 0."""
+    if len(disks) == 0:
+        return 0.0
+    r = disks.radius
+    centers = sorted(set(disks.centers))  # coincident circles collapse
+    n = len(centers)
+    if n == 1:
+        return math.pi * r * r
+    pts = np.array(centers, dtype=float)
+    total = 0.0
+    for i in range(n):
+        dx = pts[:, 0] - pts[i, 0]
+        dy = pts[:, 1] - pts[i, 1]
+        d = np.hypot(dx, dy)
+        near = np.nonzero((d > 0.0) & (d < 2.0 * r))[0]
+        if near.size == 0:
+            total += math.pi * r * r
+            continue
+        alpha = np.arctan2(dy[near], dx[near])
+        beta = np.arccos(np.clip(d[near] / (2.0 * r), -1.0, 1.0))
+        intervals = [(float(a - b), float(2.0 * b)) for a, b in zip(alpha, beta)]
+        arcs = _reference_uncovered_arcs(intervals)
+        if not arcs:
+            continue
+        # midpoint classification: drop arcs strictly inside some other disk
+        mids = np.array([(0.5 * (p1 + p2)) for p1, p2 in arcs])
+        mx = pts[i, 0] + r * np.cos(mids)
+        my = pts[i, 1] + r * np.sin(mids)
+        dist2 = (mx[:, None] - pts[None, :, 0]) ** 2 + (my[:, None] - pts[None, :, 1]) ** 2
+        dist2[:, i] = np.inf
+        covered = (dist2 < (r - EPS) ** 2).any(axis=1)
+        for keep, (p1, p2) in zip(~covered, arcs):
+            if keep:
+                total += _reference_arc_contribution(pts[i, 0], pts[i, 1], r, p1, p2)
+    return float(total)
+
+
+def reference_monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimate:
+    """The hit-or-miss estimate with (samples x 64-disk) distance blocks."""
+    if samples < 1:
+        raise InputError("samples must be >= 1")
+    if len(disks) == 0:
+        return MCEstimate(0.0, 0.0)
+    xmin, ymin, xmax, ymax = disks.bbox()
+    w = xmax - xmin
+    h = ymax - ymin
+    box = w * h
+    pts = disks.centers_array()
+    r2 = disks.radius * disks.radius
+    hits = 0
+    chunk = 1 << 17
+    done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        u = double_block(seed, 2 * done, 2 * m)
+        xs = xmin + w * u[0::2]
+        ys = ymin + h * u[1::2]
+        covered = np.zeros(m, dtype=bool)
+        for base in range(0, len(pts), 64):
+            blk = pts[base:base + 64]
+            d2 = (xs[:, None] - blk[None, :, 0]) ** 2 + (ys[:, None] - blk[None, :, 1]) ** 2
+            covered |= (d2 <= r2).any(axis=1)
+        hits += int(covered.sum())
+        done += m
+    p = hits / samples
+    return MCEstimate(box * p, box * math.sqrt(max(p * (1.0 - p), 0.0) / samples))
+
+
+def reference_same_colour_check(disks: DiskSet, labels) -> None:
+    """verify()'s pairwise scan: raise for the first overlapping pair of one
+    colour, colours in order of first appearance, then by (i, j)."""
+    by_colour: dict[int, list[int]] = {}
+    for i, c in enumerate(labels):
+        if c is not None:
+            by_colour.setdefault(c, []).append(i)
+    threshold = 2.0 * disks.radius - 1e-8
+    for c, idxs in by_colour.items():
+        for a in range(len(idxs)):
+            for b in range(a + 1, len(idxs)):
+                i, j = idxs[a], idxs[b]
+                p, q = disks.centers[i], disks.centers[j]
+                if math.hypot(p[0] - q[0], p[1] - q[1]) < threshold:
+                    raise VerificationError(
+                        f"disks {i} and {j} share colour {c} but overlap")
+
+
+def reference_kcolour_labels(disks: DiskSet, k: int) -> list[Optional[int]]:
+    """solve_kcolour's labels by the scalar nearest-point loop."""
+    lat = TriLattice(alpha_k(k))
+    colouring = LoeschianColouring(k)
+    cells: dict[tuple[int, int], int] = {}
+    for idx, c in enumerate(disks.centers):
+        ij = lat.nearest(c)
+        cur = cells.get(ij)
+        if cur is None:
+            cells[ij] = idx
+        else:
+            q = lat.point(*ij)
+            d_new = (c[0] - q[0]) ** 2 + (c[1] - q[1]) ** 2
+            cc = disks.centers[cur]
+            d_cur = (cc[0] - q[0]) ** 2 + (cc[1] - q[1]) ** 2
+            if d_new < d_cur - 1e-15:
+                cells[ij] = idx
+    labels: list[Optional[int]] = [None] * len(disks)
+    for (i, j), idx in cells.items():
+        labels[idx] = colouring.colour(i, j)
+    return labels

@@ -154,6 +154,20 @@ class TestCli:
         assert "hexagonal" in capsys.readouterr().err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("field,value", [("kind", "hexagonal"), ("side", 0.0),
+                                             ("side", -2.0), ("side", float("nan")),
+                                             ("side", float("inf"))])
+    def test_verify_invalid_lattice_exit_2(self, tmp_path: Path, capsys, field, value):
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        main(["solve", "-i", str(inst), "-o", str(res)])
+        doc = json.loads(res.read_text())
+        doc["lattice"][field] = value
+        res.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
+        assert "lattice" in capsys.readouterr().err
+
     def test_depth_reduction_generate(self, tmp_path: Path):
         inst = tmp_path / "inst.json"
         out = tmp_path / "red.json"

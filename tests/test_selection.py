@@ -10,14 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from diskpack import (EPS, DiskSet, OffsetSampling, ONE_COLOUR_SIDE,
-                      THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, gen_clustered, gen_random,
-                      gen_spirograph, solve_basic_3colour, solve_rado_1colour,
-                      solve_square_2colour, solve_weighted_3colour, verify)
+from diskpack import (EPS, Assignment, DiskSet, OffsetSampling, ONE_COLOUR_SIDE,
+                      SplitMix64, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, TriLattice,
+                      VerificationError, alpha_k, gen_clustered, gen_random,
+                      gen_spirograph, solve_basic_3colour, solve_kcolour,
+                      solve_rado_1colour, solve_square_2colour,
+                      solve_weighted_3colour, verify)
 from diskpack.geometry import _edge_disk_area, _edge_disk_area_array
 from diskpack.selector import _select_at
-from conftest import (REFERENCE_POSITIONED, quick_corpus, reference_select_at,
+from conftest import (REFERENCE_POSITIONED, quick_corpus, reference_kcolour_labels,
+                      reference_same_colour_check, reference_select_at,
                       reference_solve_positioned, reference_solve_weighted)
+from test_acceptance import build_corpus
 
 SOLVERS = {"basic3": solve_basic_3colour, "rado1": solve_rado_1colour,
            "square2": solve_square_2colour}
@@ -126,3 +130,88 @@ def test_extreme_translation_solves_and_verifies():
             assignment, report = solve(ds)
             assert verify(ds, assignment).ratio == report.ratio
             assert report.ratio >= report.guarantee - 1e-9
+
+
+# disk pairs in the cell of lattice point (3, 2) of the k = 7 lattice whose
+# d_new < d_cur - 1e-15 decision differs between ``** 2`` and x * x
+POW_SCAN_DISAGREES = [
+    ((5.360751057693287, 1.8980007592405825), (5.684012374033767, 2.0416265071165873)),
+    ((4.965659576797259, 2.5297565415907584), (5.768332624671367, 2.5232306497847747)),
+    ((5.154719746422538, 2.4041861641587907), (5.1621620401304344, 2.421386333899259)),
+    ((5.610291025235998, 2.759175308146296), (5.141874092926485, 2.7705659876582147))]
+
+
+def _kcolour_ties(k):
+    """Centres on Voronoi edges and vertices of the k-colour lattice, and
+    disks equally far from one lattice point, where the (d, i, j) key and the
+    d_new < d_cur - 1e-15 rule decide."""
+    lat = TriLattice(alpha_k(k))
+    p = [lat.point(i, j) for i, j in ((0, 0), (1, 0), (0, 1), (2, 1), (-1, 3))]
+    mid = [((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0) for a, b in zip(p, p[1:])]
+    vertex = [((p[0][0] + p[1][0] + p[2][0]) / 3.0, (p[0][1] + p[1][1] + p[2][1]) / 3.0)]
+    x, y = p[3]
+    ring = [(x + 0.3 * math.cos(t), y + 0.3 * math.sin(t))
+            for t in np.linspace(0.0, 2.0 * math.pi, 13).tolist()]
+    near = [(x + 0.3 + e, y) for e in (-2e-16, -1e-16, 0.0, 1e-16, 4e-16)]
+    return [DiskSet.from_pairs(mid + vertex + p), DiskSet.from_pairs(ring),
+            DiskSet.from_pairs(near + near[::-1]), DiskSet.from_pairs(p + p)] + \
+        [DiskSet.from_pairs(pair) for pair in POW_SCAN_DISAGREES]
+
+
+@pytest.mark.parametrize("k", [3, 4, 7])
+def test_kcolour_labels_match_scalar_reference(k):
+    for ds in build_corpus() + quick_corpus(120, 60, 77) + _kcolour_ties(k):
+        assignment, report = solve_kcolour(ds, k)
+        assert list(assignment.labels) == reference_kcolour_labels(ds, k)
+        assert report.lattice_points_hit == assignment.selected_count
+
+
+def _check_outcome(check, ds, labels):
+    try:
+        check(ds, labels)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def _verify_check(ds, labels):
+    verify(ds, Assignment(tuple(labels), max([1] + [c + 1 for c in labels if c is not None]),
+                          "basic3", None))
+
+
+def test_same_colour_check_matches_scalar_reference():
+    rng = SplitMix64(808)
+    corpus = quick_corpus(120, 60, 77) + [gen_clustered(80, 3, 12.0, 1.0, 9)]
+    for ds in corpus:
+        labelings = [list(solve_basic_3colour(ds)[0].labels), [0] * len(ds)]
+        for colours in (2, 3, 5):
+            labelings.append([None if rng.next_double() < 0.3 else rng.randrange(colours)
+                              for _ in range(len(ds))])
+        for labels in labelings:
+            assert _check_outcome(_verify_check, ds, labels) == \
+                _check_outcome(reference_same_colour_check, ds, labels)
+
+
+def test_same_colour_check_at_the_threshold():
+    gap = 2.0 - 1e-8
+    for d in (math.nextafter(gap, 0.0), gap, math.nextafter(gap, 3.0)):
+        for t in (0.0, 0.7, math.pi / 4.0):
+            ds = DiskSet.from_pairs([(0.0, 0.0), (d * math.cos(t), d * math.sin(t))])
+            got = _check_outcome(_verify_check, ds, [2, 2])
+            assert got == _check_outcome(reference_same_colour_check, ds, [2, 2])
+            if t == 0.0:
+                assert (got is not None) == (d < gap)
+
+
+def test_same_colour_check_order_and_duplicates():
+    # colour 1 appears first, so its duplicated pair (3, 4) is reported
+    # before colour 0's pair (1, 2)
+    ds = DiskSet.from_pairs([(0.5, 10.0), (0.0, 0.0), (1.0, 0.0), (9.0, 9.0), (9.0, 9.0)])
+    labels = [1, 0, 0, 1, 1]
+    assert _check_outcome(_verify_check, ds, labels) == \
+        "disks 3 and 4 share colour 1 but overlap" == \
+        _check_outcome(reference_same_colour_check, ds, labels)
+    labels = [0, 0, 0, 1, 1]
+    assert _check_outcome(_verify_check, ds, labels) == \
+        "disks 1 and 2 share colour 0 but overlap" == \
+        _check_outcome(reference_same_colour_check, ds, labels)
