@@ -1,6 +1,6 @@
 """diskpack: lattice-based selection and k-colouring of unit disks."""
 
-from .arrangement import (DepthWitness, TranslatedCircle, max_distinct_translate_depth,
+from .arrangement import (CellCopies, DepthWitness, max_distinct_translate_depth,
                           translate_to_cell)
 from .bounds import (BoundsTable, adaptive_simpson, alpha_k, bound_table, delta_k,
                      kcolour_guarantee, min_square_overlap, square_overlap_at_angle,

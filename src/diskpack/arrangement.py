@@ -25,18 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import EPS, Circle, Point
+from .geometry import EPS, Point
 from .lattice import Lattice
 from .union_area import DiskSet
 
-# byte budget of one row chunk of the sweep and the recount: it keeps peak
-# memory below the old k x k matrices' even at k ~ 200, and larger budgets
-# were not faster for k = 700..7400
+# byte budget of one row chunk of the sweep, the recount and the weighted
+# solver's offset search: it keeps peak memory below the old k x k matrices'
+# even at k ~ 200, and larger budgets were not faster for k = 700..7400
 _CHUNK_BYTES = 2_000_000
 # bytes of sweep temporaries alive at once per (row, event column)
 _SWEEP_BYTES_PER_EVENT = 64
@@ -45,11 +45,19 @@ _SWEEP_BYTES_PER_EVENT = 64
 _EDGE_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class TranslatedCircle:
-    circle: Circle
-    translate_id: tuple[int, int]
-    source_disk: int
+@dataclass(frozen=True, eq=False)
+class CellCopies:
+    """Disk copies wrapped into the fundamental cell, one row per copy:
+    ``centers`` (k, 2), ``radii`` (k,), int64 translate ``ids`` (k, 2) and
+    the index of the ``source`` disk (k,)."""
+
+    centers: np.ndarray
+    radii: np.ndarray
+    ids: np.ndarray
+    source: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.radii)
 
 
 @dataclass(frozen=True)
@@ -59,23 +67,7 @@ class DepthWitness:
     per_translate_counts: Mapping[tuple[int, int], int]
 
 
-def _wrap_to_cell(lattice: Lattice, xs: np.ndarray, ys: np.ndarray):
-    """Array form of ``lattice.wrap_to_cell``: wrapped x, y and the cell
-    indices i, j as integral floats."""
-    a, b = lattice.affine(xs, ys)
-    i = np.floor(a)
-    j = np.floor(b)
-    fa = a - i
-    fb = b - j
-    for idx, f in ((i, fa), (j, fb)):
-        fold = f >= 1.0  # guard against floating fold-over, as in _frac
-        idx[fold] += 1.0
-        f[fold] -= 1.0
-    wx, wy = lattice.point(fa, fb)
-    return wx, wy, i, j
-
-
-def translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[TranslatedCircle]:
+def translate_to_cell(disks: DiskSet, lattice: Lattice) -> CellCopies:
     """One copy of each disk per (half-open) cell translate it intersects.
 
     Copies are listed disk by disk, each disk's translates in (dj, di) order.
@@ -86,7 +78,7 @@ def translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[TranslatedCircle
         raise InputError("translate_to_cell expects unit disks")
     r = disks.radius
     pts = disks.centers_array()
-    px, py, i0, j0 = _wrap_to_cell(lattice, pts[:, 0], pts[:, 1])
+    px, py, i0, j0 = lattice.wrap_to_cell(pts[:, 0], pts[:, 1])
     a, b = lattice.affine(px, py)
     ux, uy = lattice.u
     vx, vy = lattice.v
@@ -124,14 +116,18 @@ def translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[TranslatedCircle
         tangent = (d > r - 1e-12) & (d > 0.0)
         keep[:, col] = (d <= r + 1e-12) & (~tangent | touch_in)
     rows, cols = np.nonzero(keep)
-    di, dj = np.array(shifts)[cols].T
+    di, dj = np.array(shifts, dtype=np.int64)[cols].T
     cx = px[rows] - di * ux - dj * vx
     cy = py[rows] - di * uy - dj * vy
-    i0 = i0.tolist()
-    j0 = j0.tolist()
-    return [TranslatedCircle(Circle(Point(x, y), r), (int(i0[idx]) + si, int(j0[idx]) + sj), idx)
-            for x, y, idx, si, sj in zip(cx.tolist(), cy.tolist(), rows.tolist(),
-                                         di.tolist(), dj.tolist())]
+    ids = []
+    for cell, step in ((i0[rows], di), (j0[rows], dj)):
+        # the id cell + step must lie in [-2**63, 2**63); near either end
+        # these float differences are exact
+        if not ((cell + 2.0 ** 63 >= -step) & (2.0 ** 63 - cell > step)).all():
+            raise InputError("translate id does not fit in 64 bits")
+        ids.append(cell.astype(np.int64) + step)
+    return CellCopies(np.stack([cx, cy], axis=1), np.full(len(rows), r),
+                      np.stack(ids, axis=1), rows)
 
 
 def _pair_intersections(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -383,32 +379,25 @@ def _arc_point(cx, cy, ri, mids, row, t):
     return (cx[row] + r * math.cos(mid), cy[row] + r * math.sin(mid))
 
 
-def max_distinct_translate_depth(circles: Sequence[TranslatedCircle],
-                                 lattice: Lattice) -> DepthWitness:
+def max_distinct_translate_depth(copies: CellCopies, lattice: Lattice) -> DepthWitness:
     """Cell point covered by the most distinct translates; lexicographic ties."""
-    if not circles:
+    if len(copies) == 0:
         raise InputError("max_distinct_translate_depth needs at least one circle")
-    centers = np.array([tc.circle.center for tc in circles], dtype=float)
-    radii = np.array([tc.circle.radius for tc in circles], dtype=float)
-    if not np.isfinite(centers).all():
+    if not np.isfinite(copies.centers).all():
         raise InputError("non-finite circle center")
-    try:
-        ids = np.array([tc.translate_id for tc in circles], dtype=np.int64)
-    except OverflowError as exc:
-        raise InputError("translate id does not fit in 64 bits") from exc
 
     # group circles by translate id for the distinct count
-    order = np.lexsort((ids[:, 1], ids[:, 0]))
-    centers = centers[order]
-    radii = radii[order]
-    ids = ids[order]
+    order = np.lexsort((copies.ids[:, 1], copies.ids[:, 0]))
+    centers = copies.centers[order]
+    radii = copies.radii[order]
+    ids = copies.ids[order]
     new_group = np.ones(len(ids), dtype=bool)
     new_group[1:] = (ids[1:] != ids[:-1]).any(axis=1)
     group_starts = np.flatnonzero(new_group)
     groups = np.cumsum(new_group) - 1
 
     sweep_pts = _cell_sweep_candidates(centers, radii, groups, len(group_starts), lattice)
-    wx, wy, _, _ = _wrap_to_cell(lattice, centers[:, 0], centers[:, 1])
+    wx, wy, _, _ = lattice.wrap_to_cell(centers[:, 0], centers[:, 1])
     cands = np.concatenate([np.array(sweep_pts, dtype=float).reshape(-1, 2),
                             np.stack([wx, wy], axis=1)])
 

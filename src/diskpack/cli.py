@@ -26,7 +26,9 @@ from .selector import (OffsetSampling, solve_basic_3colour, solve_kcolour,
 from .union_area import exact_union_area, monte_carlo_union_area
 
 
-def _read(path: str, what: str) -> str:
+def _read(path: str | None, what: str) -> str:
+    if path is None:
+        raise InputError(f"no {what} file given")
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from typing import Any
 
 from .errors import InputError
@@ -109,6 +110,16 @@ def parse_result(text: str) -> tuple[Assignment, dict[str, Any]]:
                                   Point(float(lat["offset"][0]), float(lat["offset"][1])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed result file: {exc}") from exc
+    report = doc.get("report", {})
+    if not isinstance(report, dict):
+        raise InputError("malformed result file: report is not an object")
+    for key in ("union_area", "selected_union_area", "ratio"):
+        value = report.get(key)
+        # json.loads gives exactly int or float for a JSON number; verify
+        # compares float(value), which a NaN passes and a huge int breaks
+        if value is not None and (type(value) not in (int, float)
+                                  or not abs(value) <= sys.float_info.max):
+            raise InputError(f"malformed result file: report {key} is not a finite number")
     if lattice is not None:
         # rejects an unknown kind and a non-finite or non-positive side
         lattice_of(lattice.kind, lattice.side, lattice.offset)

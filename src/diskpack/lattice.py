@@ -37,15 +37,6 @@ class LatticePoint(NamedTuple):
     colour: int
 
 
-def _frac(a: float) -> tuple[int, float]:
-    i = math.floor(a)
-    f = a - i
-    if f >= 1.0:  # guard against floating fold-over
-        i += 1
-        f -= 1.0
-    return i, f
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Lattice points offset + i*u + j*v, u = (side, 0), v = (shear*side,
@@ -105,13 +96,21 @@ class Lattice:
             a = a - b * self.shear
         return a, b
 
-    def wrap_to_cell(self, p: Point) -> tuple[Point, tuple[int, int]]:
-        """Reduce p to the half-open fundamental cell; p = cell_point + i*u + j*v."""
-        require_finite(p[0], p[1])
-        a, b = self.affine(p[0], p[1])
-        i, fa = _frac(a)
-        j, fb = _frac(b)
-        return self.point(fa, fb), (i, j)
+    def wrap_to_cell(self, x, y):
+        """(wx, wy, i, j) with (wx, wy) in the half-open fundamental cell and
+        (x, y) = (wx, wy) + i*u + j*v; i and j are integral floats."""
+        a, b = self.affine(x, y)
+        if not (np.isfinite(a) & np.isfinite(b)).all():
+            raise InputError("non-finite coordinate")
+        i = np.floor(a)
+        j = np.floor(b)
+        fa = a - i
+        fb = b - j
+        # guard against floating fold-over: a - floor(a) can round up to 1.0
+        fold_a = fa >= 1.0
+        fold_b = fb >= 1.0
+        wx, wy = self.point(fa - fold_a, fb - fold_b)
+        return wx, wy, i + fold_a, j + fold_b
 
     def nearest(self, p: Point) -> tuple[int, int]:
         """Index of the lattice point nearest to p; ties broken by smallest (i, j)."""

@@ -14,7 +14,8 @@ largest overlap with the point's Voronoi cell.  A unit disk holds at most one
 point of these lattices, so each disk tests four candidate points and the
 cost is O(offsets * n), whatever the bounding box.  The positioned solvers
 call it with one offset; the weighted solver with every candidate offset, in
-chunks of rows sized by ``_CHUNK_BYTES``, then once more at the winner.
+chunks of rows sized by the arrangement's ``_CHUNK_BYTES``, then once more at
+the winner.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arrangement import (_pair_intersections, _wrap_to_cell,
+from .arrangement import (_CHUNK_BYTES, _pair_intersections,
                           max_distinct_translate_depth, translate_to_cell)
 from .bounds import bound_table, kcolour_guarantee, alpha_k
 from .errors import InputError, VerificationError
@@ -35,9 +36,8 @@ from .lattice import (Lattice, LoeschianColouring, SquareLattice, TriLattice,
                       loeschian_decompose)
 from .union_area import DiskSet, _near_pairs, exact_union_area
 
-# byte budget of one chunk of offsets in the weighted solver's search; one
-# (offset, disk) pair holds about _PAIR_BYTES of selection temporaries
-_CHUNK_BYTES = 2_000_000
+# one (offset, disk) pair of the weighted solver's search holds about
+# _PAIR_BYTES of selection temporaries
 _PAIR_BYTES = 1024
 
 
@@ -357,12 +357,10 @@ def solve_weighted_3colour(disks: DiskSet,
     copies = translate_to_cell(disks, base)
     witness = max_distinct_translate_depth(copies, base)
 
-    centers = np.array([tc.circle.center for tc in copies], dtype=float)
-    radii = np.array([tc.circle.radius for tc in copies], dtype=float)
-    verts = _pair_intersections(centers, radii)
+    verts = _pair_intersections(copies.centers, copies.radii)
     a, b = base.affine(verts[:, 0], verts[:, 1])
     inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
-    wx, wy, _, _ = _wrap_to_cell(base, centers[:, 0], centers[:, 1])
+    wx, wy, _, _ = base.wrap_to_cell(copies.centers[:, 0], copies.centers[:, 1])
     g = sampling.grid_resolution
     grid = (np.arange(g) + 0.5) / g
     ga, gb = np.meshgrid(grid, grid)

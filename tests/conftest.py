@@ -8,14 +8,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import pytest
 
-from diskpack import (EPS, Circle, DepthWitness, DiskSet, InputError, LoeschianColouring,
-                      MCEstimate, OffsetSampling, ONE_COLOUR_SIDE, Point, SplitMix64,
-                      SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, TranslatedCircle,
+from diskpack import (EPS, CellCopies, Circle, DepthWitness, DiskSet, InputError,
+                      LoeschianColouring, MCEstimate, OffsetSampling, ONE_COLOUR_SIDE, Point,
+                      SplitMix64, SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       TriLattice, VerificationError, alpha_k,
                       circle_polygon_intersection_area, gen_clustered, gen_random,
                       gen_spirograph, max_distinct_translate_depth, translate_to_cell)
 from diskpack.arrangement import _distinct_counts, _membership_chunks, _pair_intersections
-from diskpack.geometry import TWO_PI
+from diskpack.geometry import TWO_PI, require_finite
 from diskpack.lattice import Lattice, LatticePoint
 from diskpack.prng import double_block
 from diskpack.selector import LatticeInfo, _empty_result, _finish
@@ -60,13 +60,14 @@ def max_depth(circles: Sequence[Circle]) -> tuple[Point, int]:
     return Point(float(at_best[k, 0]), float(at_best[k, 1])), best
 
 
-def grid_distinct_oracle(copies, lattice, resolution=800):
+def grid_distinct_oracle(copies: CellCopies, lattice, resolution=800):
     """Max distinct-translate count over a grid covering the fundamental cell."""
-    centers = np.array([tc.circle.center for tc in copies], dtype=float)
-    radii = np.array([tc.circle.radius for tc in copies], dtype=float)
-    ids = sorted({tc.translate_id for tc in copies})
+    centers = copies.centers
+    radii = copies.radii
+    copy_ids = [tuple(t) for t in copies.ids.tolist()]
+    ids = sorted(set(copy_ids))
     id_index = {t: k for k, t in enumerate(ids)}
-    groups = np.array([id_index[tc.translate_id] for tc in copies])
+    groups = np.array([id_index[t] for t in copy_ids])
     lim2 = (radii + EPS) ** 2
     best = 0
     n_groups = len(ids)
@@ -116,8 +117,39 @@ def small_corpus():
     return quick_corpus()
 
 
+def cell_copies(rows) -> CellCopies:
+    """CellCopies from (center, radius, translate id, source disk) rows."""
+    centers, radii, ids, source = zip(*rows)
+    return CellCopies(np.array(centers, dtype=float), np.array(radii, dtype=float),
+                      np.array(ids, dtype=np.int64), np.array(source, dtype=np.intp))
+
+
+def same_copies(a: CellCopies, b: CellCopies) -> bool:
+    """Equal fields, value for value and dtype for dtype."""
+    return all(x.dtype == y.dtype and np.array_equal(x, y)
+               for x, y in ((a.centers, b.centers), (a.radii, b.radii),
+                            (a.ids, b.ids), (a.source, b.source)))
+
+
 # Scalar reference implementations of the arrangement layer.  The array code in
 # diskpack.arrangement must reproduce them bit for bit.
+
+def _frac(a: float) -> tuple[int, float]:
+    i = math.floor(a)
+    f = a - i
+    if f >= 1.0:  # guard against floating fold-over
+        i += 1
+        f -= 1.0
+    return i, f
+
+
+def reference_wrap_to_cell(lattice: Lattice, p: Point) -> tuple[Point, tuple[int, int]]:
+    """Scalar form of ``Lattice.wrap_to_cell``: p = cell_point + i*u + j*v."""
+    require_finite(p[0], p[1])
+    a, b = lattice.affine(p[0], p[1])
+    i, fa = _frac(a)
+    j, fb = _frac(b)
+    return lattice.point(fa, fb), (i, j)
 
 def _segment_distance2(px, py, ax, ay, bx, by):
     dx = bx - ax
@@ -150,16 +182,16 @@ def _cell_closest_point(lattice: Lattice, di: int, dj: int, p: Point):
     return math.sqrt(best[0]), Point(best[1], best[2])
 
 
-def reference_translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[TranslatedCircle]:
+def reference_translate_to_cell(disks: DiskSet, lattice: Lattice) -> CellCopies:
     """Scalar per-disk, per-translate loop that ``translate_to_cell`` replaced."""
     if abs(disks.radius - 1.0) > 1e-9:
         raise InputError("translate_to_cell expects unit disks")
     r = disks.radius
     ux, uy = lattice.u
     vx, vy = lattice.v
-    out: list[TranslatedCircle] = []
+    out = []
     for idx, c in enumerate(disks.centers):
-        base, (i0, j0) = lattice.wrap_to_cell(c)
+        base, (i0, j0) = reference_wrap_to_cell(lattice, c)
         for dj in (-1, 0, 1):
             for di in (-1, 0, 1):
                 d, closest = _cell_closest_point(lattice, di, dj, base)
@@ -172,8 +204,8 @@ def reference_translate_to_cell(disks: DiskSet, lattice: Lattice) -> list[Transl
                     if not (di <= ca < di + 1.0 and dj <= cb < dj + 1.0):
                         continue
                 center = Point(base[0] - di * ux - dj * vx, base[1] - di * uy - dj * vy)
-                out.append(TranslatedCircle(Circle(center, r), (i0 + di, j0 + dj), idx))
-    return out
+                out.append((center, r, (i0 + di, j0 + dj), idx))
+    return cell_copies(out)
 
 
 def reference_sweep_candidates(centers: np.ndarray, radii: np.ndarray,
@@ -285,11 +317,11 @@ def reference_sweep_candidates(centers: np.ndarray, radii: np.ndarray,
     return out
 
 
-def reference_sweep_inputs(circles: Sequence[TranslatedCircle]):
+def reference_sweep_inputs(copies: CellCopies):
     """Circles sorted by translate id, as (centers, radii, ids, group_starts, groups)."""
-    centers = np.array([tc.circle.center for tc in circles], dtype=float)
-    radii = np.array([tc.circle.radius for tc in circles], dtype=float)
-    ids = [tc.translate_id for tc in circles]
+    centers = copies.centers
+    radii = copies.radii
+    ids = [tuple(t) for t in copies.ids.tolist()]
 
     # group circles by translate id for the distinct count
     order = sorted(range(len(ids)), key=lambda t: ids[t])
@@ -310,15 +342,15 @@ def reference_sweep_inputs(circles: Sequence[TranslatedCircle]):
     return centers, radii, ids, group_starts, groups
 
 
-def reference_max_distinct_translate_depth(circles: Sequence[TranslatedCircle],
+def reference_max_distinct_translate_depth(copies: CellCopies,
                                            lattice: Lattice) -> DepthWitness:
     """Scalar grouping and wrapping that ``max_distinct_translate_depth`` replaced."""
-    if not circles:
+    if len(copies) == 0:
         raise InputError("max_distinct_translate_depth needs at least one circle")
-    centers, radii, ids, group_starts, groups = reference_sweep_inputs(circles)
+    centers, radii, ids, group_starts, groups = reference_sweep_inputs(copies)
 
     sweep_pts = reference_sweep_candidates(centers, radii, groups, len(group_starts), lattice)
-    wrapped = [lattice.wrap_to_cell(Point(x, y))[0] for x, y in centers]
+    wrapped = [reference_wrap_to_cell(lattice, Point(x, y))[0] for x, y in centers]
     cands = np.array(sweep_pts + [(p[0], p[1]) for p in wrapped], dtype=float)
 
     counts = _distinct_counts(cands, centers, radii, group_starts)
@@ -434,15 +466,14 @@ def reference_solve_weighted(disks: DiskSet, sampling: OffsetSampling):
     witness = max_distinct_translate_depth(copies, base)
 
     offsets: list[Point] = [witness.point]
-    centers = np.array([tc.circle.center for tc in copies], dtype=float)
-    radii = np.array([tc.circle.radius for tc in copies], dtype=float)
-    verts = _pair_intersections(centers, radii)
+    centers = copies.centers
+    verts = _pair_intersections(centers, copies.radii)
     for x, y in verts:
         a, b = base.affine(x, y)
         if 0.0 <= a < 1.0 and 0.0 <= b < 1.0:
             offsets.append(Point(float(x), float(y)))
     for x, y in centers:
-        offsets.append(base.wrap_to_cell(Point(float(x), float(y)))[0])
+        offsets.append(reference_wrap_to_cell(base, Point(float(x), float(y)))[0])
     g = sampling.grid_resolution
     for jj in range(g):
         for ii in range(g):

@@ -4,16 +4,16 @@ import time
 import numpy as np
 import pytest
 
-from diskpack import (Circle, DiskSet, InputError, ONE_COLOUR_SIDE, Point,
+from diskpack import (CellCopies, Circle, DiskSet, InputError, ONE_COLOUR_SIDE, Point,
                       SplitMix64, SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
-                      TranslatedCircle, TriLattice, exact_union_area, gen_chain,
+                      TriLattice, exact_union_area, gen_chain,
                       gen_random, gen_spirograph,
-                      max_distinct_translate_depth, translate_to_cell)
-from diskpack.arrangement import _cell_sweep_candidates, _mod_two_pi, _wrap_to_cell
-from conftest import (grid_depth_oracle, grid_distinct_oracle, max_depth, quick_corpus,
-                      reference_max_distinct_translate_depth,
+                      max_distinct_translate_depth, solve_basic_3colour, translate_to_cell)
+from diskpack.arrangement import _cell_sweep_candidates, _mod_two_pi
+from conftest import (cell_copies, grid_depth_oracle, grid_distinct_oracle, max_depth,
+                      quick_corpus, reference_max_distinct_translate_depth,
                       reference_sweep_candidates, reference_sweep_inputs,
-                      reference_translate_to_cell)
+                      reference_translate_to_cell, reference_wrap_to_cell, same_copies)
 
 
 LAT = TriLattice(THREE_COLOUR_SIDE)
@@ -24,12 +24,12 @@ class TestTranslateToCell:
         centroid = Point((LAT.u[0] + LAT.v[0]) / 2.0, (LAT.u[1] + LAT.v[1]) / 2.0)
         copies = translate_to_cell(DiskSet(1.0, (centroid,)), LAT)
         assert 1 <= len(copies) <= 4
-        assert any(tc.translate_id == (0, 0) for tc in copies)
+        assert (0, 0) in [tuple(t) for t in copies.ids.tolist()]
 
     def test_corner_disk_four_copies(self):
         copies = translate_to_cell(DiskSet(1.0, (Point(0.0, 0.0),)), LAT)
         assert len(copies) == 4
-        assert sorted(tc.translate_id for tc in copies) == \
+        assert sorted(tuple(t) for t in copies.ids.tolist()) == \
             [(-1, -1), (-1, 0), (0, -1), (0, 0)]
 
     def test_at_most_four_copies_each(self):
@@ -38,8 +38,8 @@ class TestTranslateToCell:
             copies = translate_to_cell(ds, LAT)
             assert len(copies) <= 4 * len(ds)
             per_disk = {}
-            for tc in copies:
-                per_disk.setdefault(tc.source_disk, []).append(tc.translate_id)
+            for source, tid in zip(copies.source.tolist(), copies.ids.tolist()):
+                per_disk.setdefault(source, []).append(tuple(tid))
             for disk, ids in per_disk.items():
                 assert 1 <= len(ids) <= 4
                 assert len(set(ids)) == len(ids)
@@ -48,6 +48,14 @@ class TestTranslateToCell:
         with pytest.raises(InputError):
             translate_to_cell(DiskSet(0.5, (Point(0, 0),)), LAT)
 
+    def test_translate_id_beyond_64_bits_rejected(self):
+        # at x = 1e20 the cell index along u exceeds 2**63; at 1e19 it fits
+        far = DiskSet(1.0, (Point(1e20, 0.0), Point(1e20, 1.5)))
+        with pytest.raises(InputError, match="translate id does not fit in 64 bits"):
+            solve_basic_3colour(far)
+        assignment, _ = solve_basic_3colour(DiskSet(1.0, (Point(1e19, 0.0), Point(1e19, 1.5))))
+        assert len(assignment.labels) == 2
+
 
 class TestMaxDistinctTranslateDepth:
     def test_empty_rejected(self):
@@ -55,22 +63,20 @@ class TestMaxDistinctTranslateDepth:
             max_distinct_translate_depth([], LAT)
 
     def test_single_circle(self):
-        w = max_distinct_translate_depth(
-            [TranslatedCircle(Circle(Point(1.0, 1.0), 1.0), (0, 0), 0)], LAT)
+        w = max_distinct_translate_depth(cell_copies([((1.0, 1.0), 1.0, (0, 0), 0)]), LAT)
         assert w.distinct_translates == 1
         assert math.dist(w.point, Point(1.0, 1.0)) <= 1.0 + 1e-9
 
     def test_same_circle_two_translates(self):
-        circ = Circle(Point(1.0, 1.0), 1.0)
         w = max_distinct_translate_depth(
-            [TranslatedCircle(circ, (0, 0), 0), TranslatedCircle(circ, (2, 5), 1)], LAT)
+            cell_copies([((1.0, 1.0), 1.0, (0, 0), 0), ((1.0, 1.0), 1.0, (2, 5), 1)]), LAT)
         assert w.distinct_translates == 2
         assert set(w.per_translate_counts) == {(0, 0), (2, 5)}
 
     def test_three_circles_against_grid_oracle(self):
-        tcs = [TranslatedCircle(Circle(Point(0.0, 0.0), 1.0), (0, 0), 0),
-               TranslatedCircle(Circle(Point(1.0, 0.0), 1.0), (1, 0), 1),
-               TranslatedCircle(Circle(Point(0.5, 0.8), 1.0), (0, 1), 2)]
+        tcs = cell_copies([((0.0, 0.0), 1.0, (0, 0), 0),
+                           ((1.0, 0.0), 1.0, (1, 0), 1),
+                           ((0.5, 0.8), 1.0, (0, 1), 2)])
         w = max_distinct_translate_depth(tcs, LAT)
         assert w.distinct_translates == 3
         assert grid_distinct_oracle(tcs, LAT, resolution=400) == 3
@@ -82,8 +88,8 @@ class TestMaxDistinctTranslateDepth:
         copies = translate_to_cell(ds, LAT)
         w = max_distinct_translate_depth(copies, LAT)
         for tid in w.per_translate_counts:
-            hits = [tc for tc in copies if tc.translate_id == tid
-                    and math.dist(tc.circle.center, w.point) <= 1.0 + 1e-9]
+            hits = [c for c, t in zip(copies.centers.tolist(), copies.ids.tolist())
+                    if tuple(t) == tid and math.dist(c, w.point) <= 1.0 + 1e-9]
             assert hits
 
     def test_matches_grid_oracle_small_instances(self):
@@ -107,7 +113,9 @@ class TestMaxDistinctTranslateDepth:
         ds = gen_random(18, 7.0, 11)
         copies = translate_to_cell(ds, LAT)
         w1 = max_distinct_translate_depth(copies, LAT)
-        w2 = max_distinct_translate_depth(list(reversed(copies)), LAT)
+        w2 = max_distinct_translate_depth(
+            CellCopies(copies.centers[::-1], copies.radii[::-1], copies.ids[::-1],
+                       copies.source[::-1]), LAT)
         assert w1.point == w2.point
         assert w1.distinct_translates == w2.distinct_translates
 
@@ -116,12 +124,12 @@ class TestMaxDistinctTranslateDepth:
         # nested circles of different radii (a contained circle never crosses
         # its container), a centre shared by two translates and an exact
         # external tangency (1.5 + 0.75 == 2.25)
-        tcs = [TranslatedCircle(Circle(Point(1.0, 1.0), 1.5), (0, 0), 0),
-               TranslatedCircle(Circle(Point(1.0, 1.0), 0.5), (1, 0), 1),
-               TranslatedCircle(Circle(Point(1.25, 1.0), 0.25), (0, 1), 2),
-               TranslatedCircle(Circle(Point(1.2, 1.1), 0.3), (2, 2), 3),
-               TranslatedCircle(Circle(Point(3.25, 1.0), 0.75), (3, 0), 4),
-               TranslatedCircle(Circle(Point(0.5, 0.25), 2.0), (0, 0), 5)]
+        tcs = cell_copies([((1.0, 1.0), 1.5, (0, 0), 0),
+                           ((1.0, 1.0), 0.5, (1, 0), 1),
+                           ((1.25, 1.0), 0.25, (0, 1), 2),
+                           ((1.2, 1.1), 0.3, (2, 2), 3),
+                           ((3.25, 1.0), 0.75, (3, 0), 4),
+                           ((0.5, 0.25), 2.0, (0, 0), 5)])
         w = max_distinct_translate_depth(tcs, LAT)
         assert w.distinct_translates == 4
         assert w.distinct_translates == grid_distinct_oracle(tcs, LAT, resolution=400)
@@ -144,7 +152,8 @@ def _exactness_corpus():
 def test_array_code_matches_scalar_reference(lattice):
     for ds in _exactness_corpus():
         copies = translate_to_cell(ds, lattice)
-        assert copies == reference_translate_to_cell(ds, lattice)
+        assert len(copies) == len(copies.centers) == len(copies.ids) == len(copies.source)
+        assert same_copies(copies, reference_translate_to_cell(ds, lattice))
         centers, radii, _, group_starts, groups = reference_sweep_inputs(copies)
         args = (centers, radii, groups, len(group_starts), lattice)
         assert _cell_sweep_candidates(*args) == reference_sweep_candidates(*args)
@@ -162,10 +171,14 @@ def test_wrap_to_cell_array_matches_scalar():
                     SquareLattice(TWO_COLOUR_SIDE)):
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])
-        wx, wy, i, j = _wrap_to_cell(lattice, xs, ys)
+        want = [reference_wrap_to_cell(lattice, Point(*p)) for p in pts]
+        wx, wy, i, j = lattice.wrap_to_cell(xs, ys)
         got = [((x, y), (int(a), int(b)))
                for x, y, a, b in zip(wx.tolist(), wy.tolist(), i.tolist(), j.tolist())]
-        assert got == [lattice.wrap_to_cell(Point(*p)) for p in pts]
+        assert got == want
+        for p, w in zip(pts, want):
+            x, y, a, b = lattice.wrap_to_cell(*p)
+            assert ((x, y), (int(a), int(b))) == w
 
 
 def test_mod_two_pi_matches_np_mod():

@@ -55,20 +55,25 @@ class TestTriLattice:
     def test_wrap_identity_and_translates(self):
         lat = TriLattice(THREE_COLOUR_SIDE, offset=Point(0.3, -0.8))
         inside = lat.point(0.4, 0.6)
-        cp, t = lat.wrap_to_cell(inside)
-        assert t == (0, 0)
+        *cp, i, j = lat.wrap_to_cell(*inside)
+        assert (i, j) == (0, 0)
         assert math.dist(cp, inside) < 1e-12
         u, v = lat.u, lat.v
-        cp2, t2 = lat.wrap_to_cell(Point(inside[0] + 3 * u[0] - 2 * v[0],
-                                         inside[1] + 3 * u[1] - 2 * v[1]))
-        assert t2 == (3, -2)
+        *cp2, i2, j2 = lat.wrap_to_cell(inside[0] + 3 * u[0] - 2 * v[0],
+                                        inside[1] + 3 * u[1] - 2 * v[1])
+        assert (i2, j2) == (3, -2)
         assert math.dist(cp2, inside) < 1e-9
 
     def test_wrap_lattice_point(self):
         lat = TriLattice(THREE_COLOUR_SIDE)
-        cp, t = lat.wrap_to_cell(Point(lat.u[0] + lat.v[0], lat.u[1] + lat.v[1]))
-        assert t == (1, 1)
+        *cp, i, j = lat.wrap_to_cell(lat.u[0] + lat.v[0], lat.u[1] + lat.v[1])
+        assert (i, j) == (1, 1)
         assert math.dist(cp, lat.offset) < 1e-12
+
+    def test_wrap_rejects_non_finite(self):
+        lat = TriLattice(THREE_COLOUR_SIDE)
+        with pytest.raises(InputError):
+            lat.wrap_to_cell(float("nan"), 0.0)
 
     def test_wrap_preserves_measure(self):
         # uniform points map to near-uniform affine coordinates (chi-square)
@@ -79,8 +84,8 @@ class TestTriLattice:
         for _ in range(n):
             p = Point(-40.0 + 80.0 * rng.next_double(),
                       -40.0 + 80.0 * rng.next_double())
-            cp, _ = lat.wrap_to_cell(p)
-            a, b = lat.affine(cp[0], cp[1])
+            cx, cy, _, _ = lat.wrap_to_cell(*p)
+            a, b = lat.affine(cx, cy)
             assert -1e-12 <= a < 1.0 + 1e-12
             assert -1e-12 <= b < 1.0 + 1e-12
             bins[min(int(a * 6), 5)][min(int(b * 6), 5)] += 1
@@ -129,8 +134,8 @@ class TestSquareLattice:
 
     def test_wrap(self):
         lat = SquareLattice(2.0 * math.sqrt(2.0), offset=Point(1.0, 1.0))
-        cp, t = lat.wrap_to_cell(Point(1.0 + 3 * lat.side + 0.5, 1.0 - lat.side + 0.25))
-        assert t == (3, -1)
+        *cp, i, j = lat.wrap_to_cell(1.0 + 3 * lat.side + 0.5, 1.0 - lat.side + 0.25)
+        assert (i, j) == (3, -1)
         assert cp[0] == pytest.approx(1.5, abs=1e-9)
         assert cp[1] == pytest.approx(1.25, abs=1e-9)
 

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from diskpack import (DiskSet, TriLattice, THREE_COLOUR_SIDE, gen_random,
+from diskpack import (DiskSet, Point, TriLattice, THREE_COLOUR_SIDE, gen_random,
                       solve_basic_3colour)
 from diskpack.cli import main
-from diskpack.files import parse_instance, parse_result
+from diskpack.files import parse_instance, parse_result, serialize_instance, serialize_result
 from diskpack.render import render_svg
 
 
@@ -167,6 +167,50 @@ class TestCli:
         res.write_text(json.dumps(doc))
         assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
         assert "lattice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("report", [[], "abc", None])
+    def test_verify_report_not_an_object_exit_2(self, tmp_path: Path, capsys, report):
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        main(["solve", "-i", str(inst), "-o", str(res)])
+        doc = json.loads(res.read_text())
+        doc["report"] = report
+        res.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
+        assert "report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["union_area", "selected_union_area", "ratio"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", [1.0], True, float("nan"), float("inf"),
+                                       10 ** 400])
+    def test_verify_report_value_not_a_number_exit_2(self, tmp_path: Path, capsys, key, value):
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        main(["solve", "-i", str(inst), "-o", str(res)])
+        doc = json.loads(res.read_text())
+        doc["report"][key] = value
+        res.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_parse_result_keeps_valid_report(self):
+        ds = gen_random(9, 6.0, 3)
+        assignment, report = solve_basic_3colour(ds)
+        text = serialize_result(ds, assignment, report)
+        parsed, doc = parse_result(text)
+        assert parsed == assignment
+        assert doc == json.loads(text)
+
+    def test_generate_depth_reduction_without_instance_exit_2(self, capsys):
+        assert main(["generate", "depth-reduction"]) == 2
+        assert "instance" in capsys.readouterr().err
+
+    def test_solve_translate_id_beyond_64_bits_exit_2(self, tmp_path: Path, capsys):
+        inst = tmp_path / "far.json"
+        inst.write_text(serialize_instance(DiskSet(1.0, (Point(1e20, 0.0), Point(1e20, 1.5)))))
+        assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "res.json")]) == 2
+        assert "64 bits" in capsys.readouterr().err
 
     def test_depth_reduction_generate(self, tmp_path: Path):
         inst = tmp_path / "inst.json"
