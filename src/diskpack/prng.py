@@ -21,6 +21,9 @@ GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _TO_DOUBLE = 2.0 ** -53
+# the vectorized stream is mixed this many draws at a time, so that its two
+# uint64 buffers stay in cache through the dozen passes over them
+_BLOCK = 1 << 14
 
 
 def mix64(z: int) -> int:
@@ -52,16 +55,39 @@ class SplitMix64:
         return self.next_u64() % n
 
 
+def _mixed_blocks(seed: int, start_index: int, count: int):
+    """Yield (lo, z): z holds draws start_index+lo+1 .. of the stream as
+    uint64, mixed in place in one reused buffer of at most ``_BLOCK``
+    entries; each z is valid until the next one is yielded."""
+    z = np.empty(min(count, _BLOCK), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    for lo in range(0, count, _BLOCK):
+        m = min(_BLOCK, count - lo)
+        zm, tm = z[:m], tmp[:m]
+        # uint64 arithmetic wraps mod 2^64, as the stream's state does
+        zm[:] = np.arange(start_index + lo + 1, start_index + lo + m + 1, dtype=np.uint64)
+        np.multiply(zm, np.uint64(GAMMA), out=zm)
+        np.add(zm, np.uint64(seed & MASK64), out=zm)
+        for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+            np.right_shift(zm, np.uint64(shift), out=tm)
+            np.bitwise_xor(zm, tm, out=zm)
+            if mult is not None:
+                np.multiply(zm, np.uint64(mult), out=zm)
+        yield lo, zm
+
+
 def u64_block(seed: int, start_index: int, count: int) -> np.ndarray:
     """Draws start_index+1 .. start_index+count of the stream, as uint64."""
-    with np.errstate(over="ignore"):
-        k = np.arange(start_index + 1, start_index + count + 1, dtype=np.uint64)
-        z = np.uint64(seed & MASK64) + k * np.uint64(GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+    out = np.empty(count, dtype=np.uint64)
+    for lo, z in _mixed_blocks(seed, start_index, count):
+        out[lo:lo + len(z)] = z
+    return out
 
 
 def double_block(seed: int, start_index: int, count: int) -> np.ndarray:
     """Doubles in [0, 1) for the same stream positions as :func:`u64_block`."""
-    return (u64_block(seed, start_index, count) >> np.uint64(11)).astype(np.float64) * _TO_DOUBLE
+    out = np.empty(count)
+    for lo, z in _mixed_blocks(seed, start_index, count):
+        np.right_shift(z, np.uint64(11), out=z)
+        np.multiply(z, _TO_DOUBLE, out=out[lo:lo + len(z)])
+    return out

@@ -14,7 +14,8 @@ from diskpack import (EPS, CellCopies, Circle, DepthWitness, DiskSet, InputError
                       TriLattice, VerificationError, alpha_k,
                       circle_polygon_intersection_area, gen_clustered, gen_random,
                       gen_spirograph, max_distinct_translate_depth, translate_to_cell)
-from diskpack.arrangement import _distinct_counts, _membership_chunks, _pair_intersections
+from diskpack.arrangement import (_cell_sweep_candidates, _distinct_counts, _membership_chunks,
+                                  _pair_intersections)
 from diskpack.geometry import TWO_PI, require_finite
 from diskpack.lattice import Lattice, LatticePoint
 from diskpack.prng import double_block
@@ -364,6 +365,59 @@ def reference_max_distinct_translate_depth(copies: CellCopies,
     d2 = (centers[:, 0] - point[0]) ** 2 + (centers[:, 1] - point[1]) ** 2
     for t in np.nonzero(d2 <= lim2)[0]:
         per[ids[t]] = per.get(ids[t], 0) + 1
+    return DepthWitness(point, best, per)
+
+
+# The array witness before the branch and bound: every circle swept against
+# all copies and every wrapped centre recounted, with the cumulative-sum
+# distinct count.  The pruned search must return the same witness.
+
+def reference_distinct_counts(cands: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+                              group_starts: np.ndarray) -> np.ndarray:
+    """Distinct-group count per candidate from per-row cumulative sums."""
+    k = len(centers)
+    ends = np.concatenate([group_starts[1:], [k]]) - 1
+    counts = np.empty(len(cands), dtype=np.int64)
+    for base, memb in _membership_chunks(cands, centers, radii):
+        cs = np.cumsum(memb, axis=1, dtype=np.int32)
+        seg_end = cs[:, ends]
+        seg_before = np.zeros_like(seg_end)
+        if len(group_starts) > 1:
+            seg_before[:, 1:] = cs[:, group_starts[1:] - 1]
+        counts[base:base + len(cs)] = ((seg_end - seg_before) > 0).sum(axis=1)
+    return counts
+
+
+def full_sweep_max_distinct_translate_depth(copies: CellCopies,
+                                            lattice: Lattice) -> DepthWitness:
+    """``max_distinct_translate_depth`` without pruning or deduplication."""
+    if len(copies) == 0:
+        raise InputError("max_distinct_translate_depth needs at least one circle")
+    order = np.lexsort((copies.ids[:, 1], copies.ids[:, 0]))
+    centers = copies.centers[order]
+    radii = copies.radii[order]
+    ids = copies.ids[order]
+    new_group = np.ones(len(ids), dtype=bool)
+    new_group[1:] = (ids[1:] != ids[:-1]).any(axis=1)
+    group_starts = np.flatnonzero(new_group)
+    groups = np.cumsum(new_group) - 1
+
+    sweep_pts = _cell_sweep_candidates(centers, radii, groups, len(group_starts), lattice)
+    wx, wy, _, _ = lattice.wrap_to_cell(centers[:, 0], centers[:, 1])
+    cands = np.concatenate([np.array(sweep_pts, dtype=float).reshape(-1, 2),
+                            np.stack([wx, wy], axis=1)])
+
+    counts = reference_distinct_counts(cands, centers, radii, group_starts)
+    best = int(counts.max())
+    at_best = cands[counts == best]
+    k = np.lexsort((at_best[:, 1], at_best[:, 0]))[0]
+    point = Point(float(at_best[k, 0]), float(at_best[k, 1]))
+
+    per: dict[tuple[int, int], int] = {}
+    lim2 = (radii + EPS) ** 2
+    d2 = (centers[:, 0] - point[0]) ** 2 + (centers[:, 1] - point[1]) ** 2
+    for i, j in ids[d2 <= lim2].tolist():
+        per[(i, j)] = per.get((i, j), 0) + 1
     return DepthWitness(point, best, per)
 
 

@@ -9,14 +9,30 @@ from diskpack import (CellCopies, Circle, DiskSet, InputError, ONE_COLOUR_SIDE, 
                       TriLattice, exact_union_area, gen_chain,
                       gen_random, gen_spirograph,
                       max_distinct_translate_depth, solve_basic_3colour, translate_to_cell)
-from diskpack.arrangement import _cell_sweep_candidates, _mod_two_pi
-from conftest import (cell_copies, grid_depth_oracle, grid_distinct_oracle, max_depth,
-                      quick_corpus, reference_max_distinct_translate_depth,
+from diskpack import arrangement
+from diskpack.arrangement import _cell_sweep_candidates, _distinct_counts, _mod_two_pi
+from conftest import (cell_copies, full_sweep_max_distinct_translate_depth, grid_depth_oracle,
+                      grid_distinct_oracle, max_depth, quick_corpus,
+                      reference_distinct_counts, reference_max_distinct_translate_depth,
                       reference_sweep_candidates, reference_sweep_inputs,
                       reference_translate_to_cell, reference_wrap_to_cell, same_copies)
+from test_acceptance import build_corpus
 
 
 LAT = TriLattice(THREE_COLOUR_SIDE)
+LATTICES = pytest.mark.parametrize(
+    "lattice", [TriLattice(THREE_COLOUR_SIDE), TriLattice(ONE_COLOUR_SIDE),
+                SquareLattice(TWO_COLOUR_SIDE)], ids=["tri3", "tri1", "square2"])
+
+# nested circles of different radii (a contained circle never crosses its
+# container), a centre shared by two translates and an exact external
+# tangency (1.5 + 0.75 == 2.25)
+MIXED_RADII = [((1.0, 1.0), 1.5, (0, 0), 0),
+               ((1.0, 1.0), 0.5, (1, 0), 1),
+               ((1.25, 1.0), 0.25, (0, 1), 2),
+               ((1.2, 1.1), 0.3, (2, 2), 3),
+               ((3.25, 1.0), 0.75, (3, 0), 4),
+               ((0.5, 0.25), 2.0, (0, 0), 5)]
 
 
 class TestTranslateToCell:
@@ -121,15 +137,7 @@ class TestMaxDistinctTranslateDepth:
 
 
     def test_mixed_radii_against_grid_oracle(self):
-        # nested circles of different radii (a contained circle never crosses
-        # its container), a centre shared by two translates and an exact
-        # external tangency (1.5 + 0.75 == 2.25)
-        tcs = cell_copies([((1.0, 1.0), 1.5, (0, 0), 0),
-                           ((1.0, 1.0), 0.5, (1, 0), 1),
-                           ((1.25, 1.0), 0.25, (0, 1), 2),
-                           ((1.2, 1.1), 0.3, (2, 2), 3),
-                           ((3.25, 1.0), 0.75, (3, 0), 4),
-                           ((0.5, 0.25), 2.0, (0, 0), 5)])
+        tcs = cell_copies(MIXED_RADII)
         w = max_distinct_translate_depth(tcs, LAT)
         assert w.distinct_translates == 4
         assert w.distinct_translates == grid_distinct_oracle(tcs, LAT, resolution=400)
@@ -146,9 +154,7 @@ def _exactness_corpus():
                DiskSet(1.0, (Point(3.0, 1.7),)), fold])
 
 
-@pytest.mark.parametrize("lattice", [TriLattice(THREE_COLOUR_SIDE), TriLattice(ONE_COLOUR_SIDE),
-                                     SquareLattice(TWO_COLOUR_SIDE)],
-                         ids=["tri3", "tri1", "square2"])
+@LATTICES
 def test_array_code_matches_scalar_reference(lattice):
     for ds in _exactness_corpus():
         copies = translate_to_cell(ds, lattice)
@@ -162,6 +168,107 @@ def test_array_code_matches_scalar_reference(lattice):
         assert w.point == ref.point
         assert w.distinct_translates == ref.distinct_translates
         assert w.per_translate_counts == ref.per_translate_counts
+
+
+def _dense_family():
+    return [gen_random(200, 1.4 * math.sqrt(200) + 2.0, seed) for seed in (1, 2, 3)]
+
+
+def _hard_families():
+    dup = gen_random(40, 7.0, 9)
+    return (_dense_family()
+            # every circle of a spirograph meets the common point
+            + [gen_spirograph(n, eps) for n in (7, 30, 90) for eps in (1e-9, 0.01, 0.3, 0.99)]
+            # tangent chains: consecutive disks touch at one point
+            + [gen_chain(12, 2.0), gen_chain(9, 2.0, Point(0.1, 0.3)),
+               gen_chain(30, 2.0, Point(-3.3, 7.1))]
+            # duplicated centres
+            + [DiskSet(1.0, dup.centers * 3), DiskSet(1.0, (Point(0.4, 0.4),) * 5),
+               DiskSet(1.0, gen_spirograph(12, 0.2).centers * 2)])
+
+
+@LATTICES
+def test_witness_matches_full_sweep_on_corpus(lattice):
+    for ds in build_corpus():
+        copies = translate_to_cell(ds, lattice)
+        assert max_distinct_translate_depth(copies, lattice) == \
+            full_sweep_max_distinct_translate_depth(copies, lattice)
+
+
+@LATTICES
+def test_witness_matches_full_sweep_on_hard_families(lattice):
+    for ds in _hard_families():
+        copies = translate_to_cell(ds, lattice)
+        assert max_distinct_translate_depth(copies, lattice) == \
+            full_sweep_max_distinct_translate_depth(copies, lattice)
+
+
+@LATTICES
+def test_witness_matches_full_sweep_on_mixed_radii(lattice):
+    for rows in (MIXED_RADII, MIXED_RADII[::-1], MIXED_RADII[:3],
+                 [((0.0, 0.0), 1.0, (0, 0), 0), ((1.0, 0.0), 1.0, (1, 0), 1),
+                  ((0.5, 0.8), 1.0, (0, 1), 2)]):
+        copies = cell_copies(rows)
+        assert max_distinct_translate_depth(copies, lattice) == \
+            full_sweep_max_distinct_translate_depth(copies, lattice)
+
+
+def test_floor_above_every_candidate_scores_all(monkeypatch):
+    # two circles 2 + 5e-10 apart do not cross, so no sweep candidate lies in
+    # both, but their EPS-closed disks share the cell's centre, which is the
+    # first square's centre: the floor (2) exceeds every candidate (1)
+    cx, cy = LAT.point(0.5, 0.5)
+    gap = 2.5e-10
+    copies = cell_copies([((cx - 1.0 - gap, cy), 1.0, (0, 0), 0),
+                          ((cx + 1.0 + gap, cy), 1.0, (1, 0), 1)])
+    w = max_distinct_translate_depth(copies, LAT)
+    assert w == full_sweep_max_distinct_translate_depth(copies, LAT)
+    assert w.distinct_translates == 1
+
+    # the same rule on a dense instance: a floor no kept candidate reaches
+    # makes every circle and centre count, whatever was kept
+    surviving_squares = arrangement._surviving_squares
+
+    def unreachable_floor(*args):
+        leaves, reach, rows, floor = surviving_squares(*args)
+        return leaves, reach, rows[:1], floor + 1
+
+    monkeypatch.setattr(arrangement, "_surviving_squares", unreachable_floor)
+    copies = translate_to_cell(_dense_family()[0], LAT)
+    assert max_distinct_translate_depth(copies, LAT) == \
+        full_sweep_max_distinct_translate_depth(copies, LAT)
+
+
+def test_distinct_counts_matches_cumulative_sum_count_in_any_chunk():
+    rng = np.random.default_rng(3)
+    for ds in _dense_family()[:1] + [gen_spirograph(40, 0.01), gen_chain(9, 2.0)]:
+        centers, radii, _, group_starts, _ = reference_sweep_inputs(translate_to_cell(ds, LAT))
+        a, b = rng.random((2, 301))
+        cands = np.concatenate([np.stack(LAT.point(a, b), axis=1), centers[:50]])
+        whole = _distinct_counts(cands, centers, radii, group_starts)
+        for lo, hi in ((0, len(cands)), (0, 1), (7, 9), (300, 351), (350, 351)):
+            q = cands[lo:hi]
+            assert np.array_equal(_distinct_counts(q, centers, radii, group_starts), whole[lo:hi])
+            assert np.array_equal(reference_distinct_counts(q, centers, radii, group_starts),
+                                  whole[lo:hi])
+
+
+@LATTICES
+def test_pruning_sweeps_under_half_the_circles(lattice, monkeypatch):
+    # deterministic guard against falling back to the full sweep
+    swept = []
+    sweep_rows = arrangement._sweep_rows
+
+    def counting(*args):
+        swept.append(len(args[-1]))
+        return sweep_rows(*args)
+
+    monkeypatch.setattr(arrangement, "_sweep_rows", counting)
+    for ds in _dense_family():
+        copies = translate_to_cell(ds, lattice)
+        swept.clear()
+        max_distinct_translate_depth(copies, lattice)
+        assert 0 < sum(swept) < len(copies) / 2
 
 
 def test_wrap_to_cell_array_matches_scalar():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from diskpack import (Circle, DiskSet, InputError, Point, SplitMix64,
@@ -9,7 +10,7 @@ from diskpack import (Circle, DiskSet, InputError, Point, SplitMix64,
                       translate_to_cell)
 from diskpack.files import (instance_sha256, parse_instance, parse_result,
                             serialize_instance, serialize_result)
-from diskpack.prng import double_block, u64_block
+from diskpack.prng import GAMMA, double_block, mix64, u64_block
 from diskpack import solve_basic_3colour, verify
 from conftest import max_depth
 
@@ -26,6 +27,24 @@ class TestSplitMix:
         rng = SplitMix64(987654321)
         scalars = [rng.next_u64() for _ in range(100)]
         assert [int(v) for v in u64_block(987654321, 0, 100)] == scalars
+
+    @pytest.mark.parametrize("seed", [0, 1, 987654321, 2**63 + 11, 2**64 - 1, 2**64 + 5])
+    def test_blocks_match_scalar_stream(self, seed):
+        # the state seed + k*GAMMA wraps mod 2^64 for almost every k; the
+        # starts cover a block boundary (2^14) and indices near 2^64
+        rng = SplitMix64(seed)
+        stream = [rng.next_u64() for _ in range(2**14 + 3)]
+        assert [int(v) for v in u64_block(seed, 0, len(stream))] == stream
+        for start, count in ((0, 0), (0, 1), (5, 0), (2**14 - 2, 5), (2**14, 2**14 + 1),
+                             (2**32 + 7, 40), (2**63 - 3, 9), (2**64 - 12, 10)):
+            want = [mix64(seed + k * GAMMA) for k in range(start + 1, start + count + 1)]
+            if start + count <= len(stream):
+                assert want == stream[start:start + count]
+            got = u64_block(seed, start, count)
+            assert got.dtype == np.uint64 and [int(v) for v in got] == want
+            d = double_block(seed, start, count)
+            assert d.dtype == np.float64
+            assert d.tolist() == [(w >> 11) * 2.0 ** -53 for w in want]
 
     def test_doubles_in_unit_interval(self):
         d = double_block(5, 0, 1000)
