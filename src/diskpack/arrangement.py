@@ -23,7 +23,8 @@ still hold the best count are swept, each against all k copies.  On random
 instances that is a few percent of the circles (under 1 % for k ~ 7000).
 The work is an O(k) count for each of roughly k squares plus O(k log k) per
 swept circle: still quadratic, but in membership tests rather than in the
-sorted events of sweeping every circle.
+sorted events of sweeping every circle.  Below ``_BRANCH_MIN_COPIES`` copies
+every circle is swept outright, which is then faster.
 
 The sweep and the recount are NumPy code over chunks of rows (circles or
 candidates) against all k copies.  A chunk's row count comes from the fixed
@@ -59,6 +60,11 @@ _MAX_LEVEL = 30
 # this many squares per circle left to sweep; of 4, 8, 16 and 32, 8 ran
 # fastest at n = 200 and within 10 % of the fastest at n = 1000 and 2000
 _ROW_SQUARES = 8
+# below this many copies every circle is swept without the branch and bound,
+# whose fixed cost per level then outweighs what it prunes: on gen_random
+# ladders the two cost the same between 100 and 135 copies on all three
+# lattices (BENCH_weighted.json)
+_BRANCH_MIN_COPIES = 120
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,7 +505,8 @@ def _scored_candidates(centers, radii, groups, group_starts, lattice, rows, extr
 def max_distinct_translate_depth(copies: CellCopies, lattice: Lattice) -> DepthWitness:
     """Cell point covered by the most distinct translates; lexicographic ties.
 
-    Only circles whose boundary meets a square that survives
+    With at least ``_BRANCH_MIN_COPIES`` copies, only circles whose boundary
+    meets a square that survives
     ``_surviving_squares`` are swept, and only wrapped centres within reach
     of such a square's centre are recounted.  Every other candidate lies in
     a pruned square, so its count is below ``floor`` and below the best
@@ -532,13 +539,16 @@ def max_distinct_translate_depth(copies: CellCopies, lattice: Lattice) -> DepthW
     first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     wrapped = bits[first].view(np.float64)
 
-    leaves, reach, rows, floor = _surviving_squares(centers, radii, group_starts, lattice)
-    near = _boundaries_near(wrapped, np.zeros(len(wrapped)), np.arange(len(wrapped)),
-                            leaves, reach)
     args = (centers, radii, groups, group_starts, lattice)
-    cands, counts = _scored_candidates(*args, rows, wrapped[near])
-    if len(counts) == 0 or counts.max() < floor:
+    if len(centers) < _BRANCH_MIN_COPIES:
         cands, counts = _scored_candidates(*args, np.arange(len(centers)), wrapped)
+    else:
+        leaves, reach, rows, floor = _surviving_squares(centers, radii, group_starts, lattice)
+        near = _boundaries_near(wrapped, np.zeros(len(wrapped)), np.arange(len(wrapped)),
+                                leaves, reach)
+        cands, counts = _scored_candidates(*args, rows, wrapped[near])
+        if len(counts) == 0 or counts.max() < floor:
+            cands, counts = _scored_candidates(*args, np.arange(len(centers)), wrapped)
     best = int(counts.max())
     at_best = cands[counts == best]
     k = np.lexsort((at_best[:, 1], at_best[:, 0]))[0]

@@ -99,7 +99,9 @@ def _edge_disk_area(ax: float, ay: float, bx: float, by: float, r: float) -> flo
         y0 = ay + t0 * dy
         x1 = ax + t1 * dx
         y1 = ay + t1 * dy
-        if px * px + py * py <= r * r:
+        # a line that does not cross the circle lies outside it; at a
+        # tangency the midpoint test alone can round to inside
+        if disc > 0.0 and px * px + py * py <= r * r:
             total += 0.5 * (x0 * y1 - y0 * x1)
         else:
             # sub-segment outside the disk: circular sector between the rays
@@ -107,8 +109,9 @@ def _edge_disk_area(ax: float, ay: float, bx: float, by: float, r: float) -> flo
     return total
 
 
-def _edge_pieces(ax, ay, dx, dy, t0, t1, r: float) -> np.ndarray:
-    """The scalar loop body of ``_edge_disk_area`` for the pieces [t0, t1]."""
+def _edge_pieces(ax, ay, dx, dy, t0, t1, r: float, crosses=True) -> np.ndarray:
+    """The scalar loop body of ``_edge_disk_area`` for the pieces [t0, t1]
+    of edges whose line ``crosses`` the circle or not."""
     tm = 0.5 * (t0 + t1)
     px = ax + tm * dx
     py = ay + tm * dy
@@ -119,7 +122,7 @@ def _edge_pieces(ax, ay, dx, dy, t0, t1, r: float) -> np.ndarray:
     cross = x0 * y1 - y0 * x1
     out = 0.5 * cross
     # a zero-length piece adds 0 on either branch, so it skips atan2
-    sector = np.flatnonzero((px * px + py * py > r * r) & (t1 > t0))
+    sector = np.flatnonzero(((px * px + py * py > r * r) | np.logical_not(crosses)) & (t1 > t0))
     x0, y0, x1, y1 = x0[sector], y0[sector], x1[sector], y1[sector]
     out[sector] = 0.5 * r * r * np.fromiter(
         map(math.atan2, memoryview(cross[sector]), memoryview(x0 * x1 + y0 * y1)),
@@ -153,7 +156,7 @@ def _edge_disk_area_array(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray,
     edge = (ax[cut], ay[cut], dx[cut], dy[cut])
     total[cut] = (total[cut] + _edge_pieces(*edge, 0.0, t_lo, r)
                   + _edge_pieces(*edge, t_lo, t_hi, r))
-    return total + _edge_pieces(ax, ay, dx, dy, t_last, 1.0, r)
+    return total + _edge_pieces(ax, ay, dx, dy, t_last, 1.0, r, disc > 0.0)
 
 
 def polygon_area(poly: Sequence[Point]) -> float:

@@ -13,13 +13,18 @@ keeps, at every lattice point inside the union, the covering disk with the
 largest overlap with the point's Voronoi cell.  A unit disk holds at most one
 point of these lattices, so each disk tests four candidate points and the
 cost is O(offsets * n), whatever the bounding box.  The positioned solvers
-call it with one offset; the weighted solver with every candidate offset, in
-chunks of rows sized by the arrangement's ``_CHUNK_BYTES``, then once more at
-the winner.
+call it with one offset.  The weighted solver first bounds the weight of
+every candidate offset from a table of disk/cell overlaps
+(``_weight_bounds``), then runs ``_select_cells`` in descending order of
+bound, only while a bound can still reach the best exact weight, and once
+more at the winner; the winner is the one an exact evaluation of every
+candidate would pick.  Both passes work in chunks of rows sized by the
+arrangement's ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -36,9 +41,21 @@ from .lattice import (Lattice, LoeschianColouring, SquareLattice, TriLattice,
                       loeschian_decompose)
 from .union_area import DiskSet, _near_pairs, exact_union_area
 
-# one (offset, disk) pair of the weighted solver's search holds about
-# _PAIR_BYTES of selection temporaries
+# one (offset, disk) pair of the weighted solver's exact selection holds
+# about _PAIR_BYTES of temporaries, and one of its screen _SCREEN_PAIR_BYTES
 _PAIR_BYTES = 1024
+_SCREEN_PAIR_BYTES = 256
+# the screen's overlap table: node spacing, nodes either side of 0 on each
+# axis (spanning the 1 + 2 * EPS that covering disks reach) and disk radius,
+# the largest translate_to_cell admits
+_TABLE_STEP = 2.0 ** -8
+_TABLE_HALF = 257
+_TABLE_RADIUS = 1.0 + 1e-9
+# Lipschitz constant of a disk/cell overlap in the disk centre, radius <=
+# _TABLE_RADIUS: the circle's perimeter
+_LIPSCHITZ = 2.0 * math.pi * _TABLE_RADIUS
+# offsets the weighted solver evaluates exactly before the first cut-off
+_TOP_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -83,8 +100,10 @@ class OffsetSampling:
     grid_resolution: int = 256
 
     def __post_init__(self) -> None:
-        if self.grid_resolution < 1:
-            raise InputError("grid resolution must be >= 1")
+        g = self.grid_resolution
+        # bool is an int subclass; a float grid would sample (x + 0.5) / g
+        if isinstance(g, bool) or not isinstance(g, int) or g < 1:
+            raise InputError(f"grid resolution must be an integer >= 1, got {g!r}")
 
 
 def _method_guarantee(method: str, k: int) -> float:
@@ -343,12 +362,184 @@ def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
     return _finish(disks, labels, len(idx), None, f"loeschian{k}", k, info)
 
 
+@functools.cache
+def _overlap_table(cell: tuple[Point, ...]) -> np.ndarray:
+    """Overlap of the disk of radius ``_TABLE_RADIUS`` centred at v with the
+    cell around the origin, on the nodes v = (tx, ty) * ``_TABLE_STEP``,
+    |tx|, |ty| <= ``_TABLE_HALF``, indexed [ty + _TABLE_HALF, tx + _TABLE_HALF].
+
+    Built on first use for each cell and kept for the process, a few rows
+    of nodes at a time.  Nodes farther than ``_TABLE_STEP`` outside the radius
+    ``1 + 2 * EPS`` that covering disks reach hold pi * _TABLE_RADIUS**2,
+    which bounds every overlap.
+    """
+    t = np.arange(-_TABLE_HALF, _TABLE_HALF + 1) * _TABLE_STEP
+    table = np.full((len(t), len(t)), math.pi * _TABLE_RADIUS ** 2)
+    vx, vy = np.array(cell).T
+    block = max(1, _CHUNK_BYTES // (_PAIR_BYTES * len(t)))
+    for row in range(0, len(t), block):
+        ty, tx = np.nonzero(np.hypot(t[row:row + block, None], t)
+                            <= 1.0 + 2.0 * EPS + _TABLE_STEP)
+        rx = vx - t[tx, None]
+        ry = vy - t[row + ty, None]
+        edges = _edge_disk_area_array(
+            rx.ravel(), ry.ravel(), np.roll(rx, -1, axis=1).ravel(),
+            np.roll(ry, -1, axis=1).ravel(), _TABLE_RADIUS).reshape(rx.shape)
+        table[row + ty, tx] = edges.sum(axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _point_codes(home, lo_a, hi_a, lo_b, hi_b):
+    """Dense ranks of the lattice points (home_a + da, home_b + db), da in
+    [lo_a, hi_a] and db in [lo_b, hi_b], indexed [disk, da - lo_a, db - lo_b],
+    and the number of distinct points."""
+    pa, pb = np.broadcast_arrays(home[0][:, None, None] + np.arange(lo_a, hi_a + 1)[:, None],
+                                 home[1][:, None, None] + np.arange(lo_b, hi_b + 1))
+    order = np.lexsort((pa.ravel(), pb.ravel()))
+    pa, pb = pa.ravel()[order], pb.ravel()[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (pa[1:] != pa[:-1]) | (pb[1:] != pb[:-1])
+    codes = np.empty(len(order), dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    return codes.reshape(len(home[0]), hi_a - lo_a + 1, hi_b - lo_b + 1), int(new.sum())
+
+
+def _weight_bounds(disks: DiskSet, lattice: Lattice,
+                   ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
+    """An upper bound of ``_select_cells(disks, lattice, ox, oy).weights``,
+    offset by offset, from ``_overlap_table`` instead of the exact clipping.
+
+    Each of the 2 x 2 lattice points around a disk centre's affine floor that
+    lies within ``reach`` of the centre is an entry, with the value
+    T[node] + L * |v - node| + ``margin``: v is the centre minus the lattice
+    point, rounded as ``_select_cells`` rounds it, and node the table node
+    nearest to v (clamped to the table).  A lattice point takes the largest
+    value of its entries and an offset the sum over its lattice points.
+
+    Why that bounds the weight.  ``reach`` is r + EPS, plus 1e-12 for the
+    ``** 2`` rechecks, plus 32u*B (u = 2**-53, B bounding every coordinate of
+    centres, offsets and lattice points) for the difference between this
+    routine's rounding of a distance and that of ``_select_cells``.  A point
+    the exact test accepts is then within reach, and it is the lattice point
+    nearest the centre, so a corner of the 2 x 2 however the floor rounds,
+    provided 2 * reach < side (otherwise every bound is infinite).  The
+    overlap the exact code picks at a lattice point is one of its entries'.
+    The overlap A(v) of a disk of radius r <= 1 + 1e-9 (``translate_to_cell``
+    admits no other) grows with r, so it is at most the table's A at
+    ``_TABLE_RADIUS``; moving the centre changes A at the rate of at most the
+    circle's length inside the cell, so L = 2 * pi * ``_TABLE_RADIUS`` is a
+    Lipschitz constant.  ``margin`` covers rounding: ``_select_cells`` clips
+    the cell whose vertices it rounds as (h + c_k) - p, which lies within
+    delta = 2u*B of the exact cell around v, so its area exceeds A(v) by at
+    most perimeter * delta + pi * delta**2, which 4u*B*perimeter covers.  The
+    clipping's own rounding, the table's, the exact code's weight sum and
+    this sum's are each below 1e-12 per lattice point for the disk and point
+    counts a solve can hold; 1e-9 covers them together.
+    """
+    r = disks.radius
+    centers = disks.centers_array()
+    big = (float(np.abs(centers).max()) + float(np.abs(ox).max()) + float(np.abs(oy).max())
+           + 4.0 * lattice.side)
+    reach = r + EPS + 1e-12 + 32.0 * 2.0 ** -53 * big
+    if 2.0 * reach >= lattice.side:
+        return np.full(len(ox), math.inf)
+    table = _overlap_table(lattice.cell)
+    h = _TABLE_STEP
+    half = _TABLE_HALF
+    vx, vy = np.array(lattice.cell).T
+    perimeter = float(np.hypot(vx - np.roll(vx, -1), vy - np.roll(vy, -1)).sum())
+    margin = 1e-9 + 4.0 * 2.0 ** -53 * big * perimeter
+    (ux, uy), (wx, wy) = lattice.u, lattice.v
+    corner_a = np.array([[0.0], [1.0], [0.0], [1.0]])
+    corner_b = np.array([[0.0], [0.0], [1.0], [1.0]])
+    corner_x = corner_a * ux + corner_b * wx
+    corner_y = corner_a * uy + corner_b * wy
+    n = len(disks)
+
+    # lattice points as dense codes: each disk's entries lie in a small
+    # window around its home, the floor of the centre's affine coordinates,
+    # and the (home + window) points of all disks are ranked, again whenever
+    # the window grows; a flat (i, j) key would overflow for disks far apart
+    home = lattice.affine(centers[:, 0], centers[:, 1])
+    home = (np.floor(home[0]), np.floor(home[1]))
+    window = (0, 0, 0, 0)
+    codes, points = _point_codes(home, *window)
+    bounds = np.empty(len(ox))
+    rows = max(1, _CHUNK_BYTES // (_SCREEN_PAIR_BYTES * n))
+    for s in range(0, len(ox), rows):
+        cx, cy = ox[s:s + rows], oy[s:s + rows]
+        a, b = lattice.at(cx[:, None], cy[:, None]).affine(centers[:, 0], centers[:, 1])
+        fa = np.floor(a).ravel()
+        fb = np.floor(b).ravel()
+        # the centre relative to lattice point (fa, fb), then to each corner
+        # of the 2 x 2; every corner within reach is kept
+        a = a.ravel() - fa
+        b = b.ravel() - fb
+        ex = (a * ux + b * wx) - corner_x
+        ey = (a * uy + b * wy) - corner_y
+        corner, pair = np.divmod(np.flatnonzero(ex * ex + ey * ey <= reach * reach), len(fa))
+        i = fa[pair] + corner_a[corner, 0]
+        j = fb[pair] + corner_b[corner, 0]
+        if len(pair) == 0:
+            bounds[s:s + len(cx)] = 0.0
+            continue
+        row = pair // n
+        disk = pair % n
+        hx, hy = lattice.at(cx[row], cy[row]).point(i, j)
+        px = centers[disk, 0] - hx
+        py = centers[disk, 1] - hy
+        tx = np.clip(np.rint(px / h), -half, half)
+        ty = np.clip(np.rint(py / h), -half, half)
+        node = ((ty + half) * (2 * half + 1) + (tx + half)).astype(np.intp)
+        px -= tx * h
+        py -= ty * h
+        value = table.ravel()[node] + _LIPSCHITZ * np.sqrt(px * px + py * py) + margin
+        di = (i - home[0][disk]).astype(np.intp)
+        dj = (j - home[1][disk]).astype(np.intp)
+        span = (min(window[0], int(di.min())), max(window[1], int(di.max())),
+                min(window[2], int(dj.min())), max(window[3], int(dj.max())))
+        if span != window:
+            window = span
+            codes, points = _point_codes(home, *window)
+        code = codes[disk, di - window[0], dj - window[2]]
+        # each (offset, lattice point) keeps its largest value
+        best = np.zeros(len(cx) * points)
+        np.maximum.at(best, row * points + code, value)
+        bounds[s:s + len(cx)] = best.reshape(len(cx), points).sum(axis=1)
+    return bounds
+
+
+def _candidate_offsets(base: Lattice, copies, witness_point: Point, g: int):
+    """The weighted solver's candidate offsets (ox, oy): the count solver's
+    witness, every in-cell crossing of two copies, every wrapped copy centre
+    and the centres of a g x g grid over the cell."""
+    verts = _pair_intersections(copies.centers, copies.radii)
+    a, b = base.affine(verts[:, 0], verts[:, 1])
+    inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
+    wx, wy, _, _ = base.wrap_to_cell(copies.centers[:, 0], copies.centers[:, 1])
+    grid = (np.arange(g) + 0.5) / g
+    ga, gb = np.meshgrid(grid, grid)
+    gx, gy = base.point(ga.ravel(), gb.ravel())
+    return (np.concatenate([[witness_point[0]], verts[inside, 0], wx, gx]),
+            np.concatenate([[witness_point[1]], verts[inside, 1], wy, gy]))
+
+
 def solve_weighted_3colour(disks: DiskSet,
                            sampling: OffsetSampling | None = None
                            ) -> tuple[Assignment, CoverageReport]:
     """3-colour selection at the candidate offset maximizing the total
     cell-overlap weight; always at least as heavy as the count solver's
-    offset, which is always among the candidates."""
+    offset, which is always among the candidates.
+
+    ``_weight_bounds`` screens every candidate; the exact ``_select_cells``
+    then runs in descending order of bound, ``_TOP_BLOCK`` offsets first,
+    until the next bound is below the best exact weight so far.  An offset
+    left out has weight <= bound < best, so it cannot win or tie, and the
+    evaluated offsets are compared in candidate order by the
+    (weight, -ox, -oy) key: the offset is the one an exact evaluation of
+    every candidate picks, bit for bit.
+    """
     if sampling is None:
         sampling = OffsetSampling()
     if len(disks) == 0:
@@ -356,26 +547,30 @@ def solve_weighted_3colour(disks: DiskSet,
     base = TriLattice(THREE_COLOUR_SIDE)
     copies = translate_to_cell(disks, base)
     witness = max_distinct_translate_depth(copies, base)
+    ox, oy = _candidate_offsets(base, copies, witness.point, sampling.grid_resolution)
 
-    verts = _pair_intersections(copies.centers, copies.radii)
-    a, b = base.affine(verts[:, 0], verts[:, 1])
-    inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
-    wx, wy, _, _ = base.wrap_to_cell(copies.centers[:, 0], copies.centers[:, 1])
-    g = sampling.grid_resolution
-    grid = (np.arange(g) + 0.5) / g
-    ga, gb = np.meshgrid(grid, grid)
-    gx, gy = base.point(ga.ravel(), gb.ravel())
-    ox = np.concatenate([[witness.point[0]], verts[inside, 0], wx, gx])
-    oy = np.concatenate([[witness.point[1]], verts[inside, 1], wy, gy])
-
+    bounds = _weight_bounds(disks, base, ox, oy)
+    order = np.argsort(-bounds, kind="stable")
     rows = max(1, _CHUNK_BYTES // (_PAIR_BYTES * len(disks)))
-    weights = np.concatenate([
-        _select_cells(disks, base, ox[s:s + rows], oy[s:s + rows]).weights
-        for s in range(0, len(ox), rows)]).tolist()
-    oxs = ox.tolist()
-    oys = oy.tolist()
-    best = max(range(len(weights)), key=lambda t: (weights[t], -oxs[t], -oys[t]))
-    best_offset = Point(oxs[best], oys[best])
+    evaluated, weights = [], []
+    best = -math.inf
+    done, step = 0, _TOP_BLOCK
+    while done < len(order) and bounds[order[done]] >= best:
+        take = order[done:done + step]
+        take = take[bounds[take] >= best]
+        w = _select_cells(disks, base, ox[take], oy[take]).weights
+        evaluated.append(take)
+        weights.append(w)
+        best = max(best, float(w.max()))
+        done, step = done + step, rows
+    evaluated = np.concatenate(evaluated)
+    weights = np.concatenate(weights)
+    by_index = np.argsort(evaluated)
+    ws = weights[by_index].tolist()
+    oxs = ox[evaluated[by_index]].tolist()
+    oys = oy[evaluated[by_index]].tolist()
+    pick = max(range(len(ws)), key=lambda t: (ws[t], -oxs[t], -oys[t]))
+    best_offset = Point(oxs[pick], oys[pick])
 
     labels, hits, total = _select_at(disks, base.at(*best_offset))
     info = LatticeInfo(base.kind, base.side, best_offset)

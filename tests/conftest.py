@@ -14,12 +14,13 @@ from diskpack import (EPS, CellCopies, Circle, DepthWitness, DiskSet, InputError
                       TriLattice, VerificationError, alpha_k,
                       circle_polygon_intersection_area, gen_clustered, gen_random,
                       gen_spirograph, max_distinct_translate_depth, translate_to_cell)
-from diskpack.arrangement import (_cell_sweep_candidates, _distinct_counts, _membership_chunks,
-                                  _pair_intersections)
+from diskpack.arrangement import (_CHUNK_BYTES, _cell_sweep_candidates, _distinct_counts,
+                                  _membership_chunks, _pair_intersections)
 from diskpack.geometry import TWO_PI, require_finite
 from diskpack.lattice import Lattice, LatticePoint
 from diskpack.prng import double_block
-from diskpack.selector import LatticeInfo, _empty_result, _finish
+from diskpack.selector import (_PAIR_BYTES, LatticeInfo, _empty_result, _finish, _select_at,
+                               _select_cells)
 
 
 def grid_depth_oracle(circles, resolution=900, bbox=None):
@@ -545,6 +546,40 @@ def reference_solve_weighted(disks: DiskSet, sampling: OffsetSampling):
         labels[idx] = (lp.i - lp.j) % 3
     info = LatticeInfo("triangular", THREE_COLOUR_SIDE, best_offset)
     return _finish(disks, labels, len(picks), total, "weighted3", 3, info)
+
+
+def full_search_solve_weighted(disks: DiskSet, sampling: OffsetSampling):
+    """The weighted solver with the exact ``_select_cells`` on every
+    candidate offset, in row chunks, and no screen."""
+    if len(disks) == 0:
+        return _empty_result("weighted3", 3)
+    base = TriLattice(THREE_COLOUR_SIDE)
+    copies = translate_to_cell(disks, base)
+    witness = max_distinct_translate_depth(copies, base)
+
+    verts = _pair_intersections(copies.centers, copies.radii)
+    a, b = base.affine(verts[:, 0], verts[:, 1])
+    inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
+    wx, wy, _, _ = base.wrap_to_cell(copies.centers[:, 0], copies.centers[:, 1])
+    g = sampling.grid_resolution
+    grid = (np.arange(g) + 0.5) / g
+    ga, gb = np.meshgrid(grid, grid)
+    gx, gy = base.point(ga.ravel(), gb.ravel())
+    ox = np.concatenate([[witness.point[0]], verts[inside, 0], wx, gx])
+    oy = np.concatenate([[witness.point[1]], verts[inside, 1], wy, gy])
+
+    rows = max(1, _CHUNK_BYTES // (_PAIR_BYTES * len(disks)))
+    weights = np.concatenate([
+        _select_cells(disks, base, ox[s:s + rows], oy[s:s + rows]).weights
+        for s in range(0, len(ox), rows)]).tolist()
+    oxs = ox.tolist()
+    oys = oy.tolist()
+    best = max(range(len(weights)), key=lambda t: (weights[t], -oxs[t], -oys[t]))
+    best_offset = Point(oxs[best], oys[best])
+
+    labels, hits, total = _select_at(disks, base.at(*best_offset))
+    info = LatticeInfo(base.kind, base.side, best_offset)
+    return _finish(disks, labels, hits, total, "weighted3", 3, info)
 
 
 # Scalar reference implementations of the union-area layer, the same-colour

@@ -216,7 +216,9 @@ def test_witness_matches_full_sweep_on_mixed_radii(lattice):
 def test_floor_above_every_candidate_scores_all(monkeypatch):
     # two circles 2 + 5e-10 apart do not cross, so no sweep candidate lies in
     # both, but their EPS-closed disks share the cell's centre, which is the
-    # first square's centre: the floor (2) exceeds every candidate (1)
+    # first square's centre: the floor (2) exceeds every candidate (1); the
+    # quadtree runs however few the copies
+    monkeypatch.setattr(arrangement, "_BRANCH_MIN_COPIES", 0)
     cx, cy = LAT.point(0.5, 0.5)
     gap = 2.5e-10
     copies = cell_copies([((cx - 1.0 - gap, cy), 1.0, (0, 0), 0),
@@ -237,6 +239,31 @@ def test_floor_above_every_candidate_scores_all(monkeypatch):
     copies = translate_to_cell(_dense_family()[0], LAT)
     assert max_distinct_translate_depth(copies, LAT) == \
         full_sweep_max_distinct_translate_depth(copies, LAT)
+
+
+@LATTICES
+def test_small_instances_skip_the_quadtree(lattice, monkeypatch):
+    def no_quadtree(*args):
+        raise AssertionError("branch and bound on a small instance")
+
+    monkeypatch.setattr(arrangement, "_surviving_squares", no_quadtree)
+    for ds in ([gen_random(12, 1.4 * math.sqrt(12) + 2.0, seed) for seed in range(4)]
+               + [gen_spirograph(7, 0.01), gen_chain(9, 2.0)]):
+        copies = translate_to_cell(ds, lattice)
+        assert len(copies) < arrangement._BRANCH_MIN_COPIES
+        assert max_distinct_translate_depth(copies, lattice) == \
+            full_sweep_max_distinct_translate_depth(copies, lattice)
+
+
+@LATTICES
+def test_quadtree_matches_full_sweep_on_small_instances(lattice, monkeypatch):
+    # the branch and bound stays exact below _BRANCH_MIN_COPIES, where it no
+    # longer runs by default
+    monkeypatch.setattr(arrangement, "_BRANCH_MIN_COPIES", 0)
+    for ds in _hard_families()[len(_dense_family()):] + quick_corpus(40, 30, 5):
+        copies = translate_to_cell(ds, lattice)
+        assert max_distinct_translate_depth(copies, lattice) == \
+            full_sweep_max_distinct_translate_depth(copies, lattice)
 
 
 def test_distinct_counts_matches_cumulative_sum_count_in_any_chunk():

@@ -104,6 +104,17 @@ class TestCirclePolygon:
         assert disk_hexagon_area(Circle(Point(0, 0), 1.0), hexa) == \
             pytest.approx(math.pi, abs=1e-12)
 
+    def test_circle_tangent_to_edges(self):
+        # each edge's line touches the circle, and the midpoint test at the
+        # touch point rounds to inside: the edges once counted as triangles
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        assert circle_polygon_intersection_area(Circle(Point(0.5, 0.5), 0.5), square) == \
+            pytest.approx(math.pi / 4.0, abs=1e-12)
+        hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
+        for x in (0.1547005383792515, 0.15470053837925152, hexa.inradius - 1.0):
+            assert disk_hexagon_area(Circle(Point(x, 0.0), 1.0), hexa) == \
+                pytest.approx(math.pi, abs=1e-12)
+
     def test_vertex_direction_distance_one(self):
         hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
         c = Point(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))

@@ -10,17 +10,19 @@ import time
 import numpy as np
 import pytest
 
-from diskpack import (EPS, Assignment, DiskSet, OffsetSampling, ONE_COLOUR_SIDE,
+from diskpack import (EPS, Assignment, DiskSet, OffsetSampling, ONE_COLOUR_SIDE, Point,
                       SplitMix64, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE, TriLattice,
-                      VerificationError, alpha_k, gen_clustered, gen_random,
-                      gen_spirograph, solve_basic_3colour, solve_kcolour,
-                      solve_rado_1colour, solve_square_2colour,
-                      solve_weighted_3colour, verify)
+                      VerificationError, alpha_k, gen_chain, gen_clustered, gen_random,
+                      gen_spirograph, max_distinct_translate_depth, solve_basic_3colour,
+                      solve_kcolour, solve_rado_1colour, solve_square_2colour,
+                      solve_weighted_3colour, translate_to_cell, verify)
+from diskpack import selector
 from diskpack.geometry import _edge_disk_area, _edge_disk_area_array
-from diskpack.selector import _select_at
-from conftest import (REFERENCE_POSITIONED, quick_corpus, reference_kcolour_labels,
-                      reference_same_colour_check, reference_select_at,
-                      reference_solve_positioned, reference_solve_weighted)
+from diskpack.selector import _candidate_offsets, _select_at, _select_cells, _weight_bounds
+from conftest import (REFERENCE_POSITIONED, full_search_solve_weighted, quick_corpus,
+                      reference_kcolour_labels, reference_same_colour_check,
+                      reference_select_at, reference_solve_positioned,
+                      reference_solve_weighted)
 from test_acceptance import build_corpus
 
 SOLVERS = {"basic3": solve_basic_3colour, "rado1": solve_rado_1colour,
@@ -84,6 +86,62 @@ def test_weighted_solver_matches_scalar_reference(grid):
     for ds in corpus:
         sampling = OffsetSampling(grid_resolution=grid)
         assert solve_weighted_3colour(ds, sampling) == reference_solve_weighted(ds, sampling)
+
+
+def _weighted_cases():
+    """quick_corpus, sparse-select-like instances and the hard families."""
+    largest = math.nextafter(1.0 + 1e-9, 0.0)   # the largest radius admitted
+    spread = gen_random(10, 5.0, 21).centers
+    return (quick_corpus()
+            + [gen_random(12, 1.4 * math.sqrt(12) + 2.0, seed) for seed in range(6)]
+            + [gen_spirograph(n, eps) for n, eps in ((7, 0.01), (12, 1e-9), (20, 0.3))]
+            # duplicated centres and tangent chains
+            + [DiskSet(1.0, gen_random(8, 4.0, 9).centers * 2),
+               DiskSet.from_pairs([(0.4, 0.4)] * 5),
+               gen_chain(6, 2.0), gen_chain(5, 2.0, Point(0.1, 0.3))]
+            + [DiskSet(largest, spread), DiskSet(1.0 - 1e-9, spread)]
+            + [DiskSet.from_pairs([(0.0, 0.0), (d, d)]) for d in (1e6, 1e12)])
+
+
+@pytest.mark.parametrize("grid", [4, 6, 16, 32])
+def test_weighted_solver_matches_full_search(grid):
+    sampling = OffsetSampling(grid_resolution=grid)
+    for ds in _weighted_cases():
+        assert solve_weighted_3colour(ds, sampling) == full_search_solve_weighted(ds, sampling)
+
+
+def _candidates(ds, grid):
+    base = TriLattice(THREE_COLOUR_SIDE)
+    copies = translate_to_cell(ds, base)
+    witness = max_distinct_translate_depth(copies, base)
+    return base, _candidate_offsets(base, copies, witness.point, grid)
+
+
+def test_screen_bounds_every_candidate_offset():
+    for ds in _weighted_cases():
+        base, (ox, oy) = _candidates(ds, 6)
+        bounds = _weight_bounds(ds, base, ox, oy)
+        weights = np.concatenate([_select_cells(ds, base, ox[s:s + 64], oy[s:s + 64]).weights
+                                  for s in range(0, len(ox), 64)])
+        assert (bounds >= weights).all()
+
+
+def test_screen_prunes_sparse_select_instances(monkeypatch):
+    # deterministic guard against evaluating every offset exactly again
+    evaluated = []
+
+    def counting(disks, lattice, ox, oy):
+        evaluated.append(len(ox))
+        return select_cells(disks, lattice, ox, oy)
+
+    select_cells = selector._select_cells
+    monkeypatch.setattr(selector, "_select_cells", counting)
+    for seed in range(8):
+        ds = gen_random(12, 1.4 * math.sqrt(12) + 2.0, 900 + seed)
+        m = len(_candidates(ds, 32)[1][0])
+        evaluated.clear()
+        solve_weighted_3colour(ds, OffsetSampling(grid_resolution=32))
+        assert 0 < sum(evaluated) < m / 10
 
 
 @pytest.mark.parametrize("d", [100.0, 3000.0, 1e6])

@@ -171,6 +171,16 @@ class TestWeighted3Colour:
         with pytest.raises(InputError):
             OffsetSampling(grid_resolution=0)
 
+    @pytest.mark.parametrize("grid", [2.5, 3.0, True, False, "3", None, -1])
+    def test_non_integer_sampling_rejected(self, grid):
+        with pytest.raises(InputError):
+            OffsetSampling(grid_resolution=grid)
+
+    def test_integer_sampling_accepted(self):
+        assert OffsetSampling(grid_resolution=1).grid_resolution == 1
+        assert OffsetSampling(grid_resolution=32).grid_resolution == 32
+        assert OffsetSampling().grid_resolution == 256
+
     def test_threads_variable_is_ignored(self, monkeypatch):
         ds = gen_random(8, 5.0, 13)
         sampling = OffsetSampling(grid_resolution=6)
