@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import InputError
-from .geometry import (Circle, Point, SQRT3, circle_polygon_intersection_area,
+from .geometry import (Circle, Point, SQRT3, _clamp, circle_polygon_intersection_area,
                        lens_area, min_overlap_closed_form, require_finite)
 from .lattice import TWO_COLOUR_SIDE, loeschian_decompose
 
@@ -41,10 +41,6 @@ def weight_lower_bound(r: float) -> float:
     prod = ((-r + 1.0 + c) * (r + 1.0 - c) * (r - 1.0 + c) * (r + 1.0 + c))
     t3 = 0.5 * math.sqrt(max(prod, 0.0))
     return t1 + t2 - t3
-
-
-def _clamp(v: float) -> float:
-    return -1.0 if v < -1.0 else 1.0 if v > 1.0 else v
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,

@@ -64,7 +64,9 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     disks = _read_instance(args.instance)
     params: dict = {"colours": args.colours, "method": args.method}
-    if args.colours == "3" and args.method == "weighted":
+    if args.method == "weighted" and args.colours != "3":
+        raise InputError("--method weighted needs --colours 3")
+    if args.method == "weighted":
         sampling = OffsetSampling(grid_resolution=args.grid)
         assignment, report = solve_weighted_3colour(disks, sampling)
         params["grid"] = args.grid

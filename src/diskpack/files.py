@@ -49,7 +49,7 @@ def parse_instance(text: str) -> DiskSet:
     try:
         radius = float(doc["radius"])
         centers = tuple(Point(float(x), float(y)) for x, y in doc["centers"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc
     return DiskSet(radius, centers)
 
@@ -108,7 +108,7 @@ def parse_result(text: str) -> tuple[Assignment, dict[str, Any]]:
             lat = doc["lattice"]
             lattice = LatticeInfo(str(lat["kind"]), float(lat["side"]),
                                   Point(float(lat["offset"][0]), float(lat["offset"][1])))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed result file: {exc}") from exc
     report = doc.get("report", {})
     if not isinstance(report, dict):

@@ -173,13 +173,8 @@ def _select_cells(disks: DiskSet, lattice: Lattice,
     x, y, listed = at_entry.box_points(i, j, disks.bbox(pad=EPS))
     ddx = np.tile(np.repeat(centers[:, 0], 4), m) - x
     ddy = np.tile(np.repeat(centers[:, 1], 4), m) - y
-    d2 = ddx * ddx + ddy * ddy
-    lim = (r + EPS) ** 2
-    covered = d2 <= lim
-    # the scalar test squares with ``** 2``, which can round differently from
-    # x * x; recheck the rare pairs at the boundary with it
-    for t in np.flatnonzero(np.abs(d2 - lim) <= 1e-12).tolist():
-        covered[t] = float(ddx[t]) ** 2 + float(ddy[t]) ** 2 <= lim
+    # C pow, as the scalar test's ``** 2``: x * x can round differently
+    covered = np.float_power(ddx, 2.0) + np.float_power(ddy, 2.0) <= (r + EPS) ** 2
 
     idx = np.flatnonzero(covered & listed)
     i, j = i[idx], j[idx]
@@ -241,9 +236,9 @@ def _select_at(disks: DiskSet, lattice: Lattice):
 
 
 def _finish(disks: DiskSet, labels, hits, cell_sum, method, k, info,
-            union_area=None, depth=None) -> tuple[Assignment, CoverageReport]:
+            depth=None) -> tuple[Assignment, CoverageReport]:
     assignment = Assignment(tuple(labels), k, method, info)
-    a = exact_union_area(disks) if union_area is None else union_area
+    a = exact_union_area(disks)
     a_c = exact_union_area(disks.subset(assignment.selected_indices())) \
         if assignment.selected_count else 0.0
     ratio = a_c / a if a > 0.0 else 1.0
@@ -286,35 +281,23 @@ def _nearest_cells(disks: DiskSet, lat: Lattice):
     whose centre lies nearest the lattice point.
 
     Repeats, for all disks at once, a scan in index order where a disk takes
-    the cell of ``lat.nearest`` (4 x 4 window, (d, i, j) key) from its holder
-    when d_new < d_cur - 1e-15.  Comparisons whose array distances lie within
-    1e-12 of the decision are made again with the scalar ``** 2`` distances
-    (CPython's ``x ** 2`` can round differently from x * x), so the result is
-    equal bit for bit.
+    the cell of ``lat.nearest`` from its holder when d_new < d_cur - 1e-15.
+    Distances are squared with C ``pow`` (``np.float_power``), the call
+    Python's ``** 2`` makes, and the 4 x 4 window is enumerated i-major, so
+    the first minimum is ``lat.nearest``'s (d, i, j) key and every decision
+    is the scalar one, bit for bit.
     """
     centers = disks.centers_array()
     x, y = centers[:, 0], centers[:, 1]
     a, b = lat.affine(x, y)
     step = np.arange(-1.0, 3.0)
-    wi = np.floor(a)[:, None] + np.tile(step, 4)
-    wj = np.floor(b)[:, None] + np.repeat(step, 4)
+    wi = np.floor(a)[:, None] + np.repeat(step, 4)
+    wj = np.floor(b)[:, None] + np.tile(step, 4)
     qx, qy = lat.point(wi, wj)
-    dx = x[:, None] - qx
-    dy = y[:, None] - qy
-    d2 = dx * dx + dy * dy
+    d2 = np.float_power(x[:, None] - qx, 2.0) + np.float_power(y[:, None] - qy, 2.0)
     pick = np.argmin(d2, axis=1)
     rows = np.arange(len(x))
     i, j, d = wi[rows, pick], wj[rows, pick], d2[rows, pick]
-
-    def scalar_d2(t: int) -> float:
-        q = lat.point(int(i[t]), int(j[t]))
-        c = disks.centers[t]
-        return (c[0] - q[0]) ** 2 + (c[1] - q[1]) ** 2
-
-    near = (d2 - d[:, None] <= 1e-12 * (1.0 + d[:, None])).sum(axis=1) > 1
-    for t in np.flatnonzero(near).tolist():
-        i[t], j[t] = lat.nearest(disks.centers[t])
-        d[t] = scalar_d2(t)
 
     # one group per cell, members in index order; the scan, one rank at a time
     order = np.lexsort((rows, j, i))
@@ -329,10 +312,7 @@ def _nearest_cells(disks: DiskSet, lat: Lattice):
     for t in range(1, width):
         g = np.flatnonzero(member[:, t] >= 0)
         new, cur = member[g, t], holder[g]
-        limit = d[cur] - 1e-15
-        better = d[new] < limit
-        for s in np.flatnonzero(np.abs(d[new] - limit) <= 1e-12).tolist():
-            better[s] = scalar_d2(int(new[s])) < scalar_d2(int(cur[s])) - 1e-15
+        better = d[new] < d[cur] - 1e-15
         holder[g[better]] = new[better]
     return (i[holder].astype(np.int64), j[holder].astype(np.int64), holder)
 
@@ -340,8 +320,9 @@ def _nearest_cells(disks: DiskSet, lat: Lattice):
 def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
     """k-colour selection for Loeschian k via the scaled sublattice colouring.
 
-    Disks go to the Voronoi cell holding their center; one disk per occupied
-    cell is kept (center closest to the lattice point, lowest index on ties).
+    The lattice side is ``alpha_k(k)`` times the disk radius.  Disks go to
+    the Voronoi cell holding their center; one disk per occupied cell is kept
+    (center closest to the lattice point, lowest index on ties).
     k = 1 falls back to the side-4 construction, whose guarantee dominates
     the scaling-based bound and whose scale factor would be negative here.
     """
@@ -353,7 +334,7 @@ def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
         return assignment, report
     if len(disks) == 0:
         return _empty_result(f"loeschian{k}", k)
-    lat = TriLattice(alpha_k(k))
+    lat = TriLattice(alpha_k(k) * disks.radius)
     i, j, idx = _nearest_cells(disks, lat)
     labels: list[Optional[int]] = [None] * len(disks)
     for d, c in zip(idx.tolist(), LoeschianColouring(k).colour(i, j).tolist()):
@@ -417,13 +398,14 @@ def _weight_bounds(disks: DiskSet, lattice: Lattice,
     nearest to v (clamped to the table).  A lattice point takes the largest
     value of its entries and an offset the sum over its lattice points.
 
-    Why that bounds the weight.  ``reach`` is r + EPS, plus 1e-12 for the
-    ``** 2`` rechecks, plus 32u*B (u = 2**-53, B bounding every coordinate of
-    centres, offsets and lattice points) for the difference between this
-    routine's rounding of a distance and that of ``_select_cells``.  A point
-    the exact test accepts is then within reach, and it is the lattice point
-    nearest the centre, so a corner of the 2 x 2 however the floor rounds,
-    provided 2 * reach < side (otherwise every bound is infinite).  The
+    Why that bounds the weight.  ``reach`` is r + EPS plus 32u*B (u = 2**-53,
+    B bounding every coordinate of centres, offsets and lattice points) for
+    the difference between this routine's rounding of a distance and that of
+    ``_select_cells``, whose C ``pow`` squares differ from x * x by an ulp at
+    most.  A point the exact test accepts is then within reach, and it is the
+    lattice point nearest the centre, so a corner of the 2 x 2 however the
+    floor rounds, provided 2 * reach < side (otherwise every bound is
+    infinite).  The
     overlap the exact code picks at a lattice point is one of its entries'.
     The overlap A(v) of a disk of radius r <= 1 + 1e-9 (``translate_to_cell``
     admits no other) grows with r, so it is at most the table's A at
@@ -441,7 +423,7 @@ def _weight_bounds(disks: DiskSet, lattice: Lattice,
     centers = disks.centers_array()
     big = (float(np.abs(centers).max()) + float(np.abs(ox).max()) + float(np.abs(oy).max())
            + 4.0 * lattice.side)
-    reach = r + EPS + 1e-12 + 32.0 * 2.0 ** -53 * big
+    reach = r + EPS + 32.0 * 2.0 ** -53 * big
     if 2.0 * reach >= lattice.side:
         return np.full(len(ox), math.inf)
     table = _overlap_table(lattice.cell)

@@ -224,3 +224,38 @@ class TestCli:
     def test_bench_command(self, capsys):
         assert main(["bench", "--sizes", "20", "--seed", "1"]) == 0
         assert "solve_basic_3colour" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["x", "y", "radius"])
+    def test_instance_number_out_of_float_range_exit_2(self, tmp_path: Path, capsys, where):
+        huge = "9" * 401
+        x, y, radius = (huge if where == w else "1" for w in ("x", "y", "radius"))
+        inst = tmp_path / "huge.json"
+        inst.write_text(f'{{"schema_version": 1, "radius": {radius}, '
+                        f'"centers": [[{x}, {y}]]}}')
+        assert main(["area", "-i", str(inst)]) == 2
+        assert "malformed instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("labels", "[1e400]"), ("k", "1e400"),
+                                             ("side", "9" * 401)], ids=["labels", "k", "side"])
+    def test_result_number_out_of_range_exit_2(self, tmp_path: Path, capsys, field, value):
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        main(["solve", "-i", str(inst), "-o", str(res)])
+        doc = json.loads(res.read_text())
+        target = doc["lattice"] if field == "side" else doc
+        target[field] = "@HUGE@"
+        res.write_text(json.dumps(doc).replace('"@HUGE@"', value))
+        assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
+        assert "malformed result" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("colours,extra", [("1", []), ("2", []), ("k", ["--k", "7"])])
+    def test_weighted_method_needs_three_colours_exit_2(self, tmp_path: Path, capsys,
+                                                        colours, extra):
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        assert main(["solve", "-i", str(inst), "--colours", colours, *extra,
+                     "--method", "weighted", "-o", str(res)]) == 2
+        assert "--colours 3" in capsys.readouterr().err
+        assert not res.exists()

@@ -199,10 +199,48 @@ POW_SCAN_DISAGREES = [
     ((5.610291025235998, 2.759175308146296), (5.141874092926485, 2.7705659876582147))]
 
 
+def test_float_power_squares_as_python_pow():
+    # _select_cells, _nearest_cells and translate_to_cell square with
+    # np.float_power(x, 2.0) to decide as the scalar ``x ** 2`` does; both
+    # must be C pow, which x * x is not
+    coords = [c for p in POW_DISAGREES for c in p]
+    coords += [c for pair in POW_SCAN_DISAGREES for p in pair for c in p]
+    rng = np.random.default_rng(2)
+    x = np.concatenate([np.array(coords),
+                        rng.uniform(-2.0, 2.0, 50_000),
+                        rng.uniform(-1.0, 1.0, 50_000) * 10.0 ** rng.uniform(-12.0, 12.0, 50_000)])
+    got = np.float_power(x, 2.0)
+    want = np.array([v ** 2 for v in x.tolist()])
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert len(differ) == 0, (
+        f"np.float_power(x, 2.0) differs from x ** 2 on {len(differ)} of {len(x)} "
+        f"doubles, first x = {x[differ[0]]!r}: this NumPy does not square with C pow")
+    # the property matters because x * x rounds differently
+    assert (x * x != want).any()
+
+
+def _exact_ties(lat):
+    """Points on the bisector of lattice points (1, 0) and (0, 1) whose
+    ``** 2`` distances to both are equal, nearer to them than to any other;
+    the (d, i, j) key gives them to (0, 1), a j-major window to (1, 0)."""
+    (x1, y1), (x2, y2) = lat.point(1, 0), lat.point(0, 1)
+    mx, my = (x1 + x2) / 2.0, (y1 + y2) / 2.0
+    ties = []
+    for t in np.linspace(-0.2, 0.2, 401).tolist():
+        x, y = mx + t * (y2 - y1), my - t * (x2 - x1)
+        for x in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+            if (x - x1) ** 2 + (y - y1) ** 2 == (x - x2) ** 2 + (y - y2) ** 2 \
+                    and lat.nearest((x, y)) == (0, 1):
+                ties.append((x, y))
+    assert len(ties) > 20
+    return ties
+
+
 def _kcolour_ties(k):
-    """Centres on Voronoi edges and vertices of the k-colour lattice, and
-    disks equally far from one lattice point, where the (d, i, j) key and the
-    d_new < d_cur - 1e-15 rule decide."""
+    """Centres on Voronoi edges and vertices of the k-colour lattice, exact
+    ties between two lattice points, and disks equally far from one lattice
+    point, where the (d, i, j) key and the d_new < d_cur - 1e-15 rule
+    decide."""
     lat = TriLattice(alpha_k(k))
     p = [lat.point(i, j) for i, j in ((0, 0), (1, 0), (0, 1), (2, 1), (-1, 3))]
     mid = [((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0) for a, b in zip(p, p[1:])]
@@ -212,7 +250,8 @@ def _kcolour_ties(k):
             for t in np.linspace(0.0, 2.0 * math.pi, 13).tolist()]
     near = [(x + 0.3 + e, y) for e in (-2e-16, -1e-16, 0.0, 1e-16, 4e-16)]
     return [DiskSet.from_pairs(mid + vertex + p), DiskSet.from_pairs(ring),
-            DiskSet.from_pairs(near + near[::-1]), DiskSet.from_pairs(p + p)] + \
+            DiskSet.from_pairs(near + near[::-1]), DiskSet.from_pairs(p + p),
+            DiskSet.from_pairs(_exact_ties(lat))] + \
         [DiskSet.from_pairs(pair) for pair in POW_SCAN_DISAGREES]
 
 

@@ -117,6 +117,17 @@ class TestKColour:
         assert_valid(ds, assignment)
         assert report.ratio >= kcolour_guarantee(1) - 1e-9
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("k", [3, 4, 7, 12])
+    def test_lattice_scales_with_radius(self, r, k):
+        # the unscaled lattice gave two radius-2 disks 1 and 23 of
+        # gen_random(60, 12.0, 3) one colour although they overlap
+        for seed in range(3, 8):
+            ds = DiskSet(r, gen_random(60, 12.0, seed).centers)
+            assignment, report = solve_kcolour(ds, k)
+            assert verify(ds, assignment).ratio == report.ratio
+            assert report.ratio >= kcolour_guarantee(k) - 1e-9
+
     def test_single_disk(self):
         assignment, report = solve_kcolour(DiskSet.from_pairs([(0.0, 0.0)]), 7)
         assert assignment.selected_count == 1
