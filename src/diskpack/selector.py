@@ -235,6 +235,26 @@ def _select_at(disks: DiskSet, lattice: Lattice):
     return labels, int(sel.hits[0]), float(sel.weights[0])
 
 
+def _unit_scale(disks: DiskSet) -> tuple[float, DiskSet]:
+    """(scale, disks / scale): the lattice solvers position and select disks
+    of radius 1 +- 1e-9, the radii ``translate_to_cell`` admits, so other
+    radii are solved on the centres divided by the radius."""
+    r = disks.radius
+    if abs(r - 1.0) <= 1e-9:
+        return 1.0, disks
+    return r, DiskSet.from_pairs((disks.centers_array() / r).tolist())
+
+
+def _select_scaled(disks: DiskSet, scale: float, unit: DiskSet, lattice: Lattice,
+                   method: str, k: int, depth=None) -> tuple[Assignment, CoverageReport]:
+    """Select ``unit`` on ``lattice``, then report for ``disks`` with the
+    lattice and the cell sum scaled back."""
+    labels, hits, cell_sum = _select_at(unit, lattice)
+    ox, oy = lattice.offset
+    info = LatticeInfo(lattice.kind, lattice.side * scale, Point(ox * scale, oy * scale))
+    return _finish(disks, labels, hits, cell_sum * scale * scale, method, k, info, depth)
+
+
 def _finish(disks: DiskSet, labels, hits, cell_sum, method, k, info,
             depth=None) -> tuple[Assignment, CoverageReport]:
     assignment = Assignment(tuple(labels), k, method, info)
@@ -252,12 +272,11 @@ def _solve_positioned(disks: DiskSet, base: Lattice, method: str):
     k = base.colours
     if len(disks) == 0:
         return _empty_result(method, k)
-    copies = translate_to_cell(disks, base)
+    scale, unit = _unit_scale(disks)
+    copies = translate_to_cell(unit, base)
     witness = max_distinct_translate_depth(copies, base)
-    labels, hits, cell_sum = _select_at(disks, base.at(*witness.point))
-    info = LatticeInfo(base.kind, base.side, witness.point)
-    return _finish(disks, labels, hits, cell_sum, method, k, info,
-                   depth=witness.distinct_translates)
+    return _select_scaled(disks, scale, unit, base.at(*witness.point), method, k,
+                          witness.distinct_translates)
 
 
 def solve_basic_3colour(disks: DiskSet) -> tuple[Assignment, CoverageReport]:
@@ -526,12 +545,13 @@ def solve_weighted_3colour(disks: DiskSet,
         sampling = OffsetSampling()
     if len(disks) == 0:
         return _empty_result("weighted3", 3)
+    scale, unit = _unit_scale(disks)
     base = TriLattice(THREE_COLOUR_SIDE)
-    copies = translate_to_cell(disks, base)
+    copies = translate_to_cell(unit, base)
     witness = max_distinct_translate_depth(copies, base)
     ox, oy = _candidate_offsets(base, copies, witness.point, sampling.grid_resolution)
 
-    bounds = _weight_bounds(disks, base, ox, oy)
+    bounds = _weight_bounds(unit, base, ox, oy)
     order = np.argsort(-bounds, kind="stable")
     rows = max(1, _CHUNK_BYTES // (_PAIR_BYTES * len(disks)))
     evaluated, weights = [], []
@@ -540,7 +560,7 @@ def solve_weighted_3colour(disks: DiskSet,
     while done < len(order) and bounds[order[done]] >= best:
         take = order[done:done + step]
         take = take[bounds[take] >= best]
-        w = _select_cells(disks, base, ox[take], oy[take]).weights
+        w = _select_cells(unit, base, ox[take], oy[take]).weights
         evaluated.append(take)
         weights.append(w)
         best = max(best, float(w.max()))
@@ -552,11 +572,7 @@ def solve_weighted_3colour(disks: DiskSet,
     oxs = ox[evaluated[by_index]].tolist()
     oys = oy[evaluated[by_index]].tolist()
     pick = max(range(len(ws)), key=lambda t: (ws[t], -oxs[t], -oys[t]))
-    best_offset = Point(oxs[pick], oys[pick])
-
-    labels, hits, total = _select_at(disks, base.at(*best_offset))
-    info = LatticeInfo(base.kind, base.side, best_offset)
-    return _finish(disks, labels, hits, total, "weighted3", 3, info)
+    return _select_scaled(disks, scale, unit, base.at(oxs[pick], oys[pick]), "weighted3", 3)
 
 
 def _check_same_colour(disks: DiskSet, labels) -> None:

@@ -20,6 +20,7 @@ as that loop's, which the tests keep as the reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -53,10 +54,15 @@ class DiskSet:
     def __len__(self) -> int:
         return len(self.centers)
 
+    @functools.cached_property
+    def _centers_array(self) -> np.ndarray:
+        pts = np.array(self.centers, dtype=float).reshape(-1, 2)
+        pts.flags.writeable = False
+        return pts
+
     def centers_array(self) -> np.ndarray:
-        if not self.centers:
-            return np.empty((0, 2), dtype=float)
-        return np.array(self.centers, dtype=float)
+        """The centres as a read-only (n, 2) array, built once per set."""
+        return self._centers_array
 
     def bbox(self, pad: float = 0.0) -> tuple[float, float, float, float]:
         if not self.centers:
@@ -67,7 +73,14 @@ class DiskSet:
         return (min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m)
 
     def subset(self, indices: Iterable[int]) -> "DiskSet":
-        return DiskSet(self.radius, tuple(self.centers[i] for i in indices))
+        """The disks at ``indices``, whose centres are validated already."""
+        idx = np.fromiter(indices, dtype=np.intp)
+        pts = self.centers_array()[idx]
+        pts.flags.writeable = False
+        out = object.__new__(DiskSet)
+        out.__dict__.update(radius=self.radius, _centers_array=pts,
+                            centers=tuple(self.centers[i] for i in idx.tolist()))
+        return out
 
 
 # Pairs of points come from a grid of square cells sorted by their integer
@@ -142,48 +155,70 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     surviving boundary arc, and pi*r^2 for a circle that meets no other.
 
     ``i``, ``j`` are ``_near_pairs``'s directed pairs for these circles.
+    Only the pairs with dx*dx + dy*dy <= lim = max((2r)^2 (1 + 2^-46),
+    2^-1000) reach the trigonometry, and that keeps every pair with
+    hypot(dx, dy) < 2r: hypot is within an ulp, so the exact d^2 is below
+    (2r)^2 (1 + 2^-51); the computed sum exceeds the exact d^2 by three
+    roundings (a factor below 1 + 2^-51) plus at most 2^-1074 where a square
+    is subnormal; 2^-46 covers both factors and the rounding of lim, and the
+    floor covers the 2^-1074 once (2r)^2 is that small.
     """
     dx = px[j] - px[i]
     dy = py[j] - py[i]
+    two_r = 2.0 * r
+    close = np.flatnonzero(dx * dx + dy * dy <= max(two_r * two_r * (1.0 + 2.0 ** -46),
+                                                    2.0 ** -1000))
+    dx, dy = dx[close], dy[close]
     d = np.hypot(dx, dy)
-    near = (d > 0.0) & (d < 2.0 * r)
-    ci = i[near]
+    near = (d > 0.0) & (d < two_r)
+    ci = i[close[near]] - lo
     # each neighbour covers the angles [alpha - beta, alpha + beta] of circle ci
     alpha = np.arctan2(dy[near], dx[near])
-    beta = np.arccos(np.clip(d[near] / (2.0 * r), -1.0, 1.0))
+    beta = np.arccos(np.clip(d[near] / two_r, -1.0, 1.0))
     s = np.mod(alpha - beta, TWO_PI)
     e = s + 2.0 * beta
     wraps = e > TWO_PI
-    # a cover that passes 2*pi splits into [s, 2*pi] and [0, e - 2*pi]
+    # a cover that passes 2*pi splits into [s, 2*pi] and [0, e - 2*pi]; the
+    # pieces are grouped by circle, a stable sort merging two ascending runs
     pc = np.concatenate([ci, ci[wraps]])
-    ps = np.concatenate([s, np.zeros(int(wraps.sum()))])
-    pe = np.concatenate([np.where(wraps, TWO_PI, e), e[wraps] - TWO_PI])
-    order = np.lexsort((pe, ps, pc))
-    pc, ps, pe = pc[order], ps[order], pe[order]
+    order = np.argsort(pc, kind="stable")
+    pc = pc[order]
+    ps = np.concatenate([s, np.zeros(int(wraps.sum()))])[order]
+    pe = np.concatenate([np.where(wraps, TWO_PI, e), e[wraps] - TWO_PI])[order]
 
-    # a run of overlapping covers ends at the running max of their ends,
-    # a segmented prefix max taken by doubling (max is exact)
-    first = np.ones(len(pc), dtype=bool)
-    first[1:] = pc[1:] != pc[:-1]
-    starts = np.flatnonzero(first)
-    rank = np.arange(len(pc)) - np.repeat(starts, np.diff(np.append(starts, len(pc))))
-    end = pe.copy()
-    step = 1
-    while step < len(pc):
-        end[step:] = np.where(rank[step:] >= step,
-                              np.maximum(end[step:], end[:-step]), end[step:])
-        step *= 2
+    # each circle's covers fill one row, padded to a power-of-two width so a
+    # few 2-d sorts serve every degree; rows are laid out in circle order
+    count = np.bincount(pc, minlength=hi - lo)
+    width = np.where(count > 0, 2 ** np.frexp(count - 1)[1], 0)
+    base = np.cumsum(width) - width
+    slot = base[pc] + np.arange(len(pc)) - (np.cumsum(count) - count)[pc]
+    start = np.full(int(width.sum()), np.inf)
+    end = np.zeros(len(start))
+    start[slot] = ps
+    end[slot] = pe
+    # sorted by start, a run of overlapping covers ends at the running max of
+    # their ends; the order among equal starts changes neither, as no break
+    # falls between equal starts
+    for w in (np.flatnonzero(np.bincount(width)[2:]) + 2).tolist():
+        rows = base[width == w][:, None]
+        cells = rows + np.arange(w)
+        by_start = rows + np.argsort(start[cells], axis=1)
+        start[cells] = start[by_start]
+        end[cells] = np.maximum.accumulate(end[by_start], axis=1)
 
-    # gaps between runs, and the gap through angle 0 after each circle's last run
-    brk = np.flatnonzero(~first[1:] & ~(ps[1:] <= end[:-1] + 1e-15)) + 1
-    brk = brk[ps[brk] - end[brk - 1] > 1e-15]
-    last = np.append(starts[1:], len(pc))[:len(starts)] - 1
-    wrap = (TWO_PI - end[last]) + ps[starts] > 1e-15
-    gc = np.concatenate([pc[brk], pc[starts[wrap]]])
+    # gaps between runs, and the gap through angle 0 after each circle's last
+    # run; the padding (start inf) is never a break
+    has = np.flatnonzero(count)
+    first, last = base[has], base[has] + count[has] - 1
+    inner = np.isfinite(start)
+    inner[first] = False
+    brk = np.flatnonzero(inner[1:] & ~(start[1:] <= end[:-1] + 1e-15)) + 1
+    brk = brk[start[brk] - end[brk - 1] > 1e-15]
+    wrap = (TWO_PI - end[last]) + start[first] > 1e-15
+    gc = np.concatenate([np.repeat(np.arange(hi - lo), width)[brk], has[wrap]]) + lo
     p1 = np.concatenate([end[brk - 1], end[last[wrap]]])
-    p2 = np.concatenate([ps[brk], ps[starts[wrap]] + TWO_PI])
-    order = np.argsort(np.concatenate([2 * brk, 2 * last[wrap] + 1]), kind="stable")
-    gc, p1, p2 = gc[order], p1[order], p2[order]
+    p2 = np.concatenate([start[brk], start[first[wrap]] + TWO_PI])
+    key = np.concatenate([2 * brk, 2 * last[wrap] + 1])
 
     # drop arcs whose midpoint lies strictly inside a disk of the circle's
     # 3 x 3 cells; no other disk can reach it
@@ -196,7 +231,7 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     other = j[np.repeat(lo_pair - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(arc))]
     dist2 = (mx[arc] - px[other]) ** 2 + (my[arc] - py[other]) ** 2
     covered = np.bincount(arc[dist2 < (r - EPS) ** 2], minlength=len(gc)) > 0
-    gc, p1, p2 = gc[~covered], p1[~covered], p2[~covered]
+    gc, p1, p2, key = gc[~covered], p1[~covered], p2[~covered], key[~covered]
 
     def trig(f, a):
         return np.fromiter(map(f, a.tolist()), dtype=float, count=len(a))
@@ -206,12 +241,10 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     terms = 0.5 * (r * r * (p2 - p1)
                    + r * (cx * (trig(math.sin, p2) - trig(math.sin, p1))
                           - cy * (trig(math.cos, p2) - trig(math.cos, p1))))
-    alone = np.ones(hi - lo, dtype=bool)
-    alone[ci - lo] = False
-    alone = np.flatnonzero(alone) + lo
-    circle = np.concatenate([gc, alone])
-    terms = np.concatenate([terms, np.full(len(alone), math.pi * r * r)])
-    return terms[np.argsort(circle, kind="stable")]
+    # a circle without covers sorts before the row that follows it
+    alone = count == 0
+    terms = np.concatenate([terms, np.full(int(alone.sum()), math.pi * r * r)])
+    return terms[np.argsort(np.concatenate([key, 2 * base[alone]]))]
 
 
 def exact_union_area(disks: DiskSet) -> float:
@@ -219,10 +252,15 @@ def exact_union_area(disks: DiskSet) -> float:
     if len(disks) == 0:
         return 0.0
     r = disks.radius
-    centers = sorted(set(disks.centers))  # coincident circles collapse
-    if len(centers) == 1:
+    # coincident circles collapse to the first of each run of equal rows in
+    # (x, y) order, the survivors of sorted(set(centers)), 0.0 and -0.0 alike
+    pts = disks.centers_array()
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    if keep.sum() == 1:
         return math.pi * r * r
-    px, py = np.array(centers, dtype=float).T
+    px, py = pts[keep].T
     terms = [np.zeros(1)]
     for lo, hi, i, j in _near_pairs(px, py, 2.0 * r):
         terms.append(_block_terms(px, py, r, lo, hi, i, j))

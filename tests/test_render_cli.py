@@ -9,6 +9,7 @@ from diskpack import (DiskSet, Point, TriLattice, THREE_COLOUR_SIDE, gen_random,
 from diskpack.cli import main
 from diskpack.files import parse_instance, parse_result, serialize_instance, serialize_result
 from diskpack.render import render_svg
+from test_selector import radius_instances
 
 
 class TestRenderSvg:
@@ -65,6 +66,19 @@ class TestCli:
         assert main(["solve", "-i", str(inst), "--colours", colours,
                      *extra, "-o", str(res)]) == 0
         assert main(["verify", "-i", str(inst), "-r", str(res)]) == 0
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 10.0])
+    def test_any_radius_solves_and_verifies(self, tmp_path: Path, r):
+        res = tmp_path / "res.json"
+        for t, (_, ds) in enumerate(radius_instances(r)):
+            inst = tmp_path / f"inst{t}.json"
+            inst.write_text(serialize_instance(ds))
+            for args in (["--colours", "1"], ["--colours", "2"], ["--colours", "3"],
+                         ["--colours", "3", "--method", "weighted", "--grid", "16"]):
+                assert main(["solve", "-i", str(inst), *args, "-o", str(res)]) == 0
+                assert main(["verify", "-i", str(inst), "-r", str(res)]) == 0
+                _, doc = parse_result(res.read_text())
+                assert doc["report"]["ratio"] >= doc["report"]["guarantee"]
 
     def test_weighted_solver(self, tmp_path: Path):
         inst = tmp_path / "inst.json"

@@ -6,7 +6,7 @@ import pytest
 from diskpack import (Assignment, Circle, DiskSet, InputError, OffsetSampling,
                       Point, SplitMix64, THREE_COLOUR_SIDE, TriLattice,
                       VerificationError, bound_table, disk_hexagon_area,
-                      gen_chain, gen_random, gen_spirograph,
+                      gen_chain, gen_clustered, gen_random, gen_spirograph,
                       kcolour_guarantee, min_overlap_closed_form,
                       solve_basic_3colour, solve_kcolour, solve_rado_1colour,
                       solve_square_2colour, solve_weighted_3colour, verify)
@@ -200,6 +200,49 @@ class TestWeighted3Colour:
         for value in ("3", "zippy"):
             monkeypatch.setenv("DISKPACK_THREADS", value)
             assert solve_weighted_3colour(ds, sampling) == base
+
+
+def radius_instances(r):
+    """Five unit-radius instances with centres and radius scaled by r."""
+    unit = [gen_random(12, 6.0, 1), gen_random(25, 9.0, 2), gen_spirograph(10, 0.2, 3),
+            gen_clustered(20, 3, 8.0, 1.0, 4), gen_chain(6, 1.05)]
+    return [(ds, DiskSet(r, tuple(Point(x * r, y * r) for x, y in ds.centers)))
+            for ds in unit]
+
+
+RADIUS_SOLVERS = {"basic3": solve_basic_3colour, "rado1": solve_rado_1colour,
+                  "square2": solve_square_2colour,
+                  "weighted3": lambda d: solve_weighted_3colour(d, OffsetSampling(16))}
+
+
+class TestRadius:
+    """The lattice solvers position disks of any radius on the unit-scaled
+    instance and scale the lattice back."""
+
+    @pytest.mark.parametrize("method", sorted(RADIUS_SOLVERS))
+    @pytest.mark.parametrize("r", [0.5, 2.0, 10.0])
+    def test_solves_and_verifies(self, method, r):
+        for unit, ds in radius_instances(r):
+            assignment, report = RADIUS_SOLVERS[method](ds)
+            assert_valid(ds, assignment)
+            checked = verify(ds, assignment)
+            assert checked.union_area == report.union_area
+            assert checked.selected_union_area == report.selected_union_area
+            assert report.ratio >= report.guarantee
+            base, base_report = RADIUS_SOLVERS[method](unit)
+            assert assignment.lattice.side == pytest.approx(base.lattice.side * r, rel=1e-15)
+            assert report.cell_area_bound == \
+                pytest.approx(base_report.cell_area_bound * r * r, rel=1e-9)
+            if r in (0.5, 2.0):  # centres scale exactly: the same solve
+                assert assignment.labels == base.labels
+                assert assignment.lattice.offset == Point(base.lattice.offset[0] * r,
+                                                          base.lattice.offset[1] * r)
+
+    @pytest.mark.parametrize("r", [1.0 - 1e-9, math.nextafter(1.0 + 1e-9, 0.0)])
+    def test_radius_within_1e_9_is_solved_as_is(self, r):
+        for _, ds in radius_instances(r):
+            assignment, _ = solve_basic_3colour(ds)
+            assert assignment.lattice.side == THREE_COLOUR_SIDE
 
 
 class TestVerify:

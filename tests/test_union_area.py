@@ -54,6 +54,30 @@ class TestDiskSet:
         ds = DiskSet.from_pairs([(0, 0), (0, 0)])
         assert len(ds) == 2
 
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_centers_array_read_only_and_equal(self, n):
+        ds = gen_random(n, 9.0, 3) if n else DiskSet(1.0, ())
+        pts = ds.centers_array()
+        assert pts.shape == (n, 2) and not pts.flags.writeable
+        assert np.array_equal(pts, np.array(ds.centers, dtype=float).reshape(-1, 2))
+        assert ds.centers_array() is pts
+        with pytest.raises(ValueError):
+            pts[...] = 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_subset_equals_fresh_set(self, n):
+        ds = gen_random(n, 9.0, 4) if n else DiskSet(2.5, ())
+        for idx in ([], list(range(n))[::3], list(range(n))[::-2], [0, 0] if n else []):
+            sub = ds.subset(idx)
+            fresh = DiskSet(ds.radius, tuple(ds.centers[i] for i in idx))
+            assert sub == fresh and hash(sub) == hash(fresh)
+            assert np.array_equal(sub.centers_array(), fresh.centers_array())
+            assert not sub.centers_array().flags.writeable
+            # a subset of a subset
+            inner = list(range(len(idx)))[1::2]
+            assert sub.subset(inner) == DiskSet(ds.radius, tuple(fresh.centers[i] for i in inner))
+            assert exact_union_area(sub) == exact_union_area(fresh)
+
 
 class TestExactUnionArea:
     def test_empty(self):
@@ -115,6 +139,83 @@ class TestArrayCodeMatchesLoop:
     def test_degenerate_cases(self):
         for ds in _degenerate_cases():
             assert exact_union_area(ds) == reference_exact_union_area(ds)
+
+    def test_coincident_and_signed_zero_centres(self):
+        # sorted(set(centers)) keeps the first of equal centres, and 0.0 ==
+        # -0.0; here the sign of the surviving zero reaches arctan2 and
+        # changes the last bit of the area
+        base = [(1.1, 0.9), (0.0, 0.0), (0.0, -0.0), (0.3, 0.3), (0.3, 0.0),
+                (0.3, -0.0), (0.3, 0.0), (-0.0, 0.0), (1.1, 0.9)]
+        rng = SplitMix64(8)
+        areas = set()
+        for trial in range(40):
+            pts = list(base)
+            for k in range(len(pts) - 1, 0, -1):  # a seeded shuffle
+                t = rng.randrange(k + 1)
+                pts[k], pts[t] = pts[t], pts[k]
+            for r in (0.9, 1.0, 1.3):
+                ds = DiskSet.from_pairs(pts, radius=r)
+                assert exact_union_area(ds) == reference_exact_union_area(ds)
+                areas.add((r, exact_union_area(ds)))
+        assert len(areas) > 3
+
+    def test_exact_duplicates(self):
+        for seed in range(4):
+            ds = gen_random(30, 7.0, 80 + seed)
+            twice = DiskSet(1.0, ds.centers + ds.centers[::-1] + ds.centers[::3])
+            assert exact_union_area(twice) == reference_exact_union_area(twice)
+            assert exact_union_area(twice) == exact_union_area(ds)
+
+    def test_degree_skew(self):
+        # 300 centres in a 0.5 box meet about 300 covers each; the 1000
+        # spread disks a handful
+        rng = SplitMix64(21)
+        dense = [(20.0 + 0.5 * rng.next_double(), 20.0 + 0.5 * rng.next_double())
+                 for _ in range(300)]
+        ds = DiskSet(1.0, gen_random(1000, 46.0, 22).centers + tuple(map(Point._make, dense)))
+        assert exact_union_area(ds) == reference_exact_union_area(ds)
+
+    def test_width_classes(self):
+        # circles with 1 to 140 covers (wrapping pieces included), so every
+        # power-of-two row width up to 256 occurs
+        rng = SplitMix64(23)
+        for m in (3, 17, 33, 64, 65, 70, 129):
+            ring = [(1.9 * math.cos(a), 1.9 * math.sin(a))
+                    for a in (2.0 * math.pi * rng.next_double() for _ in range(m))]
+            ds = DiskSet.from_pairs(ring + [(0.0, 0.0), (3.5, 0.1)])
+            assert exact_union_area(ds) == reference_exact_union_area(ds)
+
+    @pytest.mark.parametrize("r", [1e-200, 1e-3, 0.7, 1.0, 3.3, 1e150])
+    def test_pairs_near_twice_the_radius(self, r):
+        # neighbours a few ulps either side of 2r away, where the squared
+        # pre-filter and hypot must agree on which pairs reach the arcs
+        rng = SplitMix64(29)
+        pts = [(0.0, 0.0)]
+        for k in range(40):
+            dy = 2.0 * r * rng.next_double()
+            dx = math.sqrt(4.0 * r * r - dy * dy)
+            for _ in range(k % 7):
+                dx = math.nextafter(dx, math.inf if k % 2 else 0.0)
+            sx, sy = (1.0 if k % 4 < 2 else -1.0), (1.0 if k % 3 else -1.0)
+            pts.append((sx * dx, sy * dy))
+        ds = DiskSet.from_pairs(pts, radius=r)
+        assert exact_union_area(ds) == reference_exact_union_area(ds)
+
+    @pytest.mark.parametrize("r", [3.3, 1e-160])
+    def test_pairs_whose_square_rounds_to_the_limit(self, r):
+        # hypot(dx, dy) < 2r although dx*dx + dy*dy >= (2r)^2, by rounding
+        # (r = 3.3) or because the squares are subnormal (r = 1e-160): the
+        # pre-filter must keep these pairs
+        d = math.nextafter(2.0 * r, 0.0)
+        rng = SplitMix64(31)
+        pts = [(0.0, 0.0)]
+        while len(pts) < 5:
+            t = 2.0 * math.pi * rng.next_double()
+            dx, dy = d * math.cos(t), d * math.sin(t)
+            if math.hypot(dx, dy) < 2.0 * r and dx * dx + dy * dy >= (2.0 * r) ** 2:
+                pts.append((dx, dy))
+        ds = DiskSet.from_pairs(pts, radius=r)
+        assert exact_union_area(ds) == reference_exact_union_area(ds)
 
     @pytest.mark.parametrize("r", [0.3, 0.7, 1.0])
     def test_scaled(self, r):
