@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .geometry import Point, RegularHexagon, SQRT3, require_finite
+from .geometry import Point, SQRT3, require_finite
 
 # default sides: 4*sqrt(3)/3 gives 3-colourable selections, 4 gives pairwise
 # disjoint ones, 2*sqrt(2) the checkerboard 2-colouring
@@ -44,9 +44,7 @@ class Lattice:
 
     ``rise`` is twice v's height in units of side, so that heights round as
     side*sqrt(3)/2 always has.  ``cell`` holds the Voronoi cell's vertices
-    relative to its lattice point, counterclockwise.  ``row_slack`` is the row
-    rule of ``points_in_box``: rows within 1e-12 of the box in index units,
-    like columns (square), rather than rows whose y lies in the box.
+    relative to its lattice point, counterclockwise.
     """
 
     kind: str
@@ -56,7 +54,6 @@ class Lattice:
     rise: float
     colours: int
     cell: tuple[Point, ...]
-    row_slack: bool
 
     def at(self, x, y) -> Lattice:
         """This lattice moved to offset (x, y); arrays of offsets give one
@@ -112,50 +109,9 @@ class Lattice:
         wx, wy = self.point(fa - fold_a, fb - fold_b)
         return wx, wy, i + fold_a, j + fold_b
 
-    def nearest(self, p: Point) -> tuple[int, int]:
-        """Index of the lattice point nearest to p; ties broken by smallest (i, j)."""
-        a, b = self.affine(p[0], p[1])
-        i0 = math.floor(a)
-        j0 = math.floor(b)
-        best = None
-        for j in range(j0 - 1, j0 + 3):
-            for i in range(i0 - 1, i0 + 3):
-                q = self.point(i, j)
-                d = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-                key = (d, i, j)
-                if best is None or key < best:
-                    best = key
-        return best[1], best[2]
-
-    # points_in_box places a point at its row's start + i*side, which on a
-    # sheared lattice rounds differently from point(i, j)
-    def _row(self, j):
-        x = self.offset[0]
-        if self.shear:
-            x = x + j * self.side * self.shear
-        return x, self.offset[1] + j * self.v[1]
-
-    def _columns(self, x0, xmin, xmax):
-        return (np.ceil((xmin - x0) / self.side - 1e-12),
-                np.floor((xmax - x0) / self.side + 1e-12))
-
-    def _row_in_box(self, j, y, ymin, ymax):
-        if self.row_slack:
-            return ((j >= np.ceil((ymin - self.offset[1]) / self.v[1] - 1e-12))
-                    & (j <= np.floor((ymax - self.offset[1]) / self.v[1] + 1e-12)))
-        return (y >= ymin) & (y <= ymax)
-
-    def box_points(self, i, j, bbox):
-        """(x, y, listed): the position of lattice point (i, j) as
-        ``points_in_box`` gives it, and whether ``points_in_box(bbox)`` lists it."""
-        xmin, ymin, xmax, ymax = bbox
-        x0, y = self._row(j)
-        first, last = self._columns(x0, xmin, xmax)
-        listed = self._row_in_box(j, y, ymin, ymax) & (first <= i) & (i <= last)
-        return x0 + i * self.side, y, listed
-
     def points_in_box(self, bbox: tuple[float, float, float, float]) -> list[LatticePoint]:
-        """All lattice points with position inside the closed bbox (xmin, ymin, xmax, ymax)."""
+        """All lattice points (i, j) whose ``point(i, j)`` lies inside the
+        closed bbox (xmin, ymin, xmax, ymax), in (j, i) order."""
         xmin, ymin, xmax, ymax = bbox
         require_finite(xmin, ymin, xmax, ymax, what="bbox bound")
         if xmax < xmin or ymax < ymin:
@@ -163,31 +119,22 @@ class Lattice:
         out = []
         for j in range(math.floor((ymin - self.offset[1]) / self.v[1]) - 1,
                        math.ceil((ymax - self.offset[1]) / self.v[1]) + 2):
-            x0, y = self._row(j)
-            if self._row_in_box(j, y, ymin, ymax):
-                first, last = self._columns(x0, xmin, xmax)
-                out += [LatticePoint(i, j, Point(x0 + i * self.side, y), self.colour(i, j))
-                        for i in range(int(first), int(last) + 1)]
+            x0, y = self.point(0, j)
+            if not ymin <= y <= ymax:
+                continue
+            # point(i, j)[0] grows with i, so one column of slack either side
+            # of the estimate holds every listed point
+            for i in range(math.floor((xmin - x0) / self.side) - 1,
+                           math.ceil((xmax - x0) / self.side) + 2):
+                p = self.point(i, j)
+                if xmin <= p[0] <= xmax:
+                    out.append(LatticePoint(i, j, p, self.colour(i, j)))
         return out
 
     def cell_polygon(self, i: int, j: int) -> tuple[Point, ...]:
         """Vertices of the Voronoi cell of lattice point (i, j), counterclockwise."""
         x, y = self.point(i, j)
         return tuple(Point(x + dx, y + dy) for dx, dy in self.cell)
-
-    def voronoi_cell_at(self, i: int, j: int):
-        """Voronoi cell of lattice point (i, j): a ``RegularHexagon`` when it
-        is one, otherwise ``cell_polygon(i, j)``."""
-        if len(self.cell) == 6:
-            return RegularHexagon(self.point(i, j), self.side / SQRT3)
-        return self.cell_polygon(i, j)
-
-    def voronoi_cell(self, p: Point):
-        """``voronoi_cell_at`` of the lattice point at p."""
-        a, b = self.affine(p[0], p[1])
-        if abs(a - round(a)) > 1e-6 or abs(b - round(b)) > 1e-6:
-            raise InputError("voronoi_cell expects a lattice point")
-        return self.voronoi_cell_at(round(a), round(b))
 
 
 def _check(side: float, offset: Point) -> None:
@@ -204,7 +151,7 @@ def TriLattice(side: float, offset: Point = Point(0.0, 0.0), colours: int = 3) -
     # the vertices of RegularHexagon.vertices, relative to the centre
     angles = [math.pi / 6.0 + k * math.pi / 3.0 for k in range(6)]
     cell = tuple(Point(rad * math.cos(t), rad * math.sin(t)) for t in angles)
-    return Lattice("triangular", side, offset, 0.5, SQRT3, colours, cell, False)
+    return Lattice("triangular", side, offset, 0.5, SQRT3, colours, cell)
 
 
 def SquareLattice(side: float, offset: Point = Point(0.0, 0.0), colours: int = 2) -> Lattice:
@@ -213,7 +160,7 @@ def SquareLattice(side: float, offset: Point = Point(0.0, 0.0), colours: int = 2
     _check(side, offset)
     h = side / 2.0
     cell = (Point(-h, -h), Point(h, -h), Point(h, h), Point(-h, h))
-    return Lattice("square", side, offset, 0.0, 2.0, colours, cell, True)
+    return Lattice("square", side, offset, 0.0, 2.0, colours, cell)
 
 
 _KINDS = {"triangular": TriLattice, "square": SquareLattice}

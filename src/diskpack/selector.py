@@ -168,9 +168,9 @@ def _select_cells(disks: DiskSet, lattice: Lattice,
         centers[:, 0][:, None], centers[:, 1][:, None])
     i = (np.floor(a) + np.array([0.0, 1.0, 0.0, 1.0])).ravel()
     j = (np.floor(b) + np.array([0.0, 0.0, 1.0, 1.0])).ravel()
-    at_entry = lattice.at(np.repeat(ox, 4 * n), np.repeat(oy, 4 * n))
-    # the covering test uses the position points_in_box gives
-    x, y, listed = at_entry.box_points(i, j, disks.bbox(pad=EPS))
+    x, y = lattice.at(np.repeat(ox, 4 * n), np.repeat(oy, 4 * n)).point(i, j)
+    xmin, ymin, xmax, ymax = disks.bbox(pad=EPS)
+    listed = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
     ddx = np.tile(np.repeat(centers[:, 0], 4), m) - x
     ddy = np.tile(np.repeat(centers[:, 1], 4), m) - y
     # C pow, as the scalar test's ``** 2``: x * x can round differently
@@ -180,11 +180,9 @@ def _select_cells(disks: DiskSet, lattice: Lattice,
     i, j = i[idx], j[idx]
     row = idx // (4 * n)
     disk = idx // 4 % n
-    # the cell centre is point(i, j), which rounds differently from x, y above
-    hx, hy = lattice.at(ox[row], oy[row]).point(i, j)
     vx, vy = np.array(lattice.cell).T
-    rx = (hx[:, None] + vx) - centers[disk, 0][:, None]
-    ry = (hy[:, None] + vy) - centers[disk, 1][:, None]
+    rx = (x[idx, None] + vx) - centers[disk, 0][:, None]
+    ry = (y[idx, None] + vy) - centers[disk, 1][:, None]
     bx = np.roll(rx, -1, axis=1)
     by = np.roll(ry, -1, axis=1)
     edges = _edge_disk_area_array(rx.ravel(), ry.ravel(), bx.ravel(), by.ravel(),
@@ -255,14 +253,19 @@ def _select_scaled(disks: DiskSet, scale: float, unit: DiskSet, lattice: Lattice
     return _finish(disks, labels, hits, cell_sum * scale * scale, method, k, info, depth)
 
 
-def _finish(disks: DiskSet, labels, hits, cell_sum, method, k, info,
-            depth=None) -> tuple[Assignment, CoverageReport]:
-    assignment = Assignment(tuple(labels), k, method, info)
+def _areas(disks: DiskSet, assignment: Assignment) -> tuple[float, float, float]:
+    """(A, A_c, A_c / A): the union area, the selected disks' union area and
+    their ratio, 1 when A is 0."""
     a = exact_union_area(disks)
     a_c = exact_union_area(disks.subset(assignment.selected_indices())) \
         if assignment.selected_count else 0.0
-    ratio = a_c / a if a > 0.0 else 1.0
-    report = CoverageReport(a, a_c, ratio, _method_guarantee(method, k), hits,
+    return a, a_c, a_c / a if a > 0.0 else 1.0
+
+
+def _finish(disks: DiskSet, labels, hits, cell_sum, method, k, info,
+            depth=None) -> tuple[Assignment, CoverageReport]:
+    assignment = Assignment(tuple(labels), k, method, info)
+    report = CoverageReport(*_areas(disks, assignment), _method_guarantee(method, k), hits,
                             info.offset if info else None, depth, cell_sum)
     return assignment, report
 
@@ -300,10 +303,11 @@ def _nearest_cells(disks: DiskSet, lat: Lattice):
     whose centre lies nearest the lattice point.
 
     Repeats, for all disks at once, a scan in index order where a disk takes
-    the cell of ``lat.nearest`` from its holder when d_new < d_cur - 1e-15.
-    Distances are squared with C ``pow`` (``np.float_power``), the call
-    Python's ``** 2`` makes, and the 4 x 4 window is enumerated i-major, so
-    the first minimum is ``lat.nearest``'s (d, i, j) key and every decision
+    the cell of its nearest lattice point (smallest (d, i, j) key over the
+    4 x 4 window around its affine floor) from the holder when
+    d_new < d_cur - 1e-15.  Distances are squared with C ``pow``
+    (``np.float_power``), the call Python's ``** 2`` makes, and the window is
+    enumerated i-major, so the first minimum is that key and every decision
     is the scalar one, bit for bit.
     """
     centers = disks.centers_array()
@@ -349,8 +353,7 @@ def solve_kcolour(disks: DiskSet, k: int) -> tuple[Assignment, CoverageReport]:
         raise InputError(
             f"k={k} is not Loeschian: no integers a, b give a^2 + a*b + b^2 = k")
     if k == 1:
-        assignment, report = solve_rado_1colour(disks)
-        return assignment, report
+        return solve_rado_1colour(disks)
     if len(disks) == 0:
         return _empty_result(f"loeschian{k}", k)
     lat = TriLattice(alpha_k(k) * disks.radius)
@@ -612,11 +615,7 @@ def verify(disks: DiskSet, assignment: Assignment) -> CoverageReport:
         if c is not None and not (0 <= c < assignment.k):
             raise VerificationError(f"colour {c} outside 0..{assignment.k - 1}")
     _check_same_colour(disks, assignment.labels)
-    a = exact_union_area(disks)
-    a_c = exact_union_area(disks.subset(assignment.selected_indices())) \
-        if assignment.selected_count else 0.0
-    ratio = a_c / a if a > 0.0 else 1.0
-    return CoverageReport(a, a_c, ratio,
+    return CoverageReport(*_areas(disks, assignment),
                           _method_guarantee(assignment.method, assignment.k),
                           assignment.selected_count,
                           assignment.lattice.offset if assignment.lattice else None)

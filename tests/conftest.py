@@ -470,7 +470,7 @@ def reference_weight_at_offset(disks: DiskSet, offset: Point,
         cover = reference_covering_disks(disks, lp.position)
         if not cover:
             continue
-        poly = lat.voronoi_cell_at(lp.i, lp.j).vertices()
+        poly = lat.cell_polygon(lp.i, lp.j)
         best_idx = -1
         best_area = -1.0
         for i in cover:
@@ -713,13 +713,29 @@ def reference_same_colour_check(disks: DiskSet, labels) -> None:
                         f"disks {i} and {j} share colour {c} but overlap")
 
 
+def nearest(lat: Lattice, p: Point) -> tuple[int, int]:
+    """Index of the lattice point nearest to p; ties broken by smallest (i, j)."""
+    a, b = lat.affine(p[0], p[1])
+    i0 = math.floor(a)
+    j0 = math.floor(b)
+    best = None
+    for j in range(j0 - 1, j0 + 3):
+        for i in range(i0 - 1, i0 + 3):
+            q = lat.point(i, j)
+            d = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+            key = (d, i, j)
+            if best is None or key < best:
+                best = key
+    return best[1], best[2]
+
+
 def reference_kcolour_labels(disks: DiskSet, k: int) -> list[Optional[int]]:
     """solve_kcolour's labels by the scalar nearest-point loop."""
     lat = TriLattice(alpha_k(k))
     colouring = LoeschianColouring(k)
     cells: dict[tuple[int, int], int] = {}
     for idx, c in enumerate(disks.centers):
-        ij = lat.nearest(c)
+        ij = nearest(lat, c)
         cur = cells.get(ij)
         if cur is None:
             cells[ij] = idx

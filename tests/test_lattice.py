@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from diskpack import (InputError, LoeschianColouring, Point, SplitMix64,
+from diskpack import (InputError, LoeschianColouring, Point, RegularHexagon, SplitMix64,
                       SquareLattice, THREE_COLOUR_SIDE, TriLattice,
                       loeschian_decompose)
-from conftest import REFERENCE_POSITIONED
+from conftest import REFERENCE_POSITIONED, nearest
 
 SQRT3 = math.sqrt(3.0)
 
@@ -94,12 +94,18 @@ class TestTriLattice:
         assert chi2 < 80.0  # df=35, well beyond any sane quantile only on bugs
 
     def test_voronoi_cell(self):
+        # the regular hexagon of circumradius side/sqrt(3) around point(i, j)
+        # is cell_polygon(i, j), bit for bit
         lat = TriLattice(THREE_COLOUR_SIDE)
-        h = lat.voronoi_cell(lat.point(2, -1))
+        h = RegularHexagon(lat.point(2, -1), lat.side / SQRT3)
         assert h.side == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert h.inradius == pytest.approx(2.0 / SQRT3, abs=1e-12)
-        with pytest.raises(InputError):
-            lat.voronoi_cell(Point(0.5, 0.5))
+        rng = SplitMix64(41)
+        for _ in range(200):
+            off = lat.at(-1e6 + 2e6 * rng.next_double(), -1e6 + 2e6 * rng.next_double())
+            i, j = rng.randrange(2_000_001) - 1_000_000, rng.randrange(2_000_001) - 1_000_000
+            assert RegularHexagon(off.point(i, j), lat.side / SQRT3).vertices() == \
+                off.cell_polygon(i, j)
 
     def test_voronoi_tiling_partition(self):
         # every sample point belongs to exactly one cell via the nearest-point
@@ -108,8 +114,8 @@ class TestTriLattice:
         rng = SplitMix64(123)
         for _ in range(400):
             p = Point(-8.0 + 16.0 * rng.next_double(), -8.0 + 16.0 * rng.next_double())
-            i, j = lat.nearest(p)
-            hexa = lat.voronoi_cell_at(i, j)
+            i, j = nearest(lat, p)
+            hexa = RegularHexagon(lat.point(i, j), lat.side / SQRT3)
             assert hexa.contains(p, tol=1e-9)
             # interior points (away from boundaries) lie in no other cell
             margin = hexa.inradius - math.dist(p, hexa.center)
@@ -117,7 +123,8 @@ class TestTriLattice:
                 for di in (-1, 0, 1):
                     for dj in (-1, 0, 1):
                         if (di, dj) != (0, 0):
-                            other = lat.voronoi_cell_at(i + di, j + dj)
+                            other = RegularHexagon(lat.point(i + di, j + dj),
+                                                   lat.side / SQRT3)
                             assert not other.contains(p, tol=-1e-9)
 
 
@@ -141,7 +148,7 @@ class TestSquareLattice:
 
     def test_voronoi_square(self):
         lat = SquareLattice(2.0 * math.sqrt(2.0))
-        cell = lat.voronoi_cell(lat.point(0, 0))
+        cell = lat.cell_polygon(0, 0)
         assert len(cell) == 4
         xs = [v[0] for v in cell]
         assert max(xs) - min(xs) == pytest.approx(lat.side, abs=1e-12)
@@ -213,22 +220,31 @@ class TestPositionedLattices:
                                        range(math.floor(b) - 2, math.floor(b) + 3))
             best = min(((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2, i, j)
                        for i, j in window for q in [lat.point(i, j)])
-            assert lat.nearest(p) == best[1:]
+            assert nearest(lat, p) == best[1:]
 
     @pytest.mark.parametrize("method", POSITIONED)
-    def test_box_points_match_points_in_box(self, method):
-        lat = _offset_lattice(method)
+    @pytest.mark.parametrize("offset", [(0.3, -0.7), (1e6 + 0.3, -1e6)], ids=["near", "far"])
+    def test_points_in_box_matches_brute_force(self, method, offset):
+        lat = REFERENCE_POSITIONED[method][0].at(*offset)
         rng = SplitMix64(37)
+        boxes = []
         for _ in range(20):
-            x0 = -10.0 + 20.0 * rng.next_double()
-            y0 = -10.0 + 20.0 * rng.next_double()
-            bbox = (x0, y0, x0 + 12.0 * rng.next_double(), y0 + 12.0 * rng.next_double())
-            i, j = (g.ravel() for g in np.meshgrid(np.arange(-12.0, 13.0), np.arange(-12.0, 13.0)))
-            x, y, listed = lat.box_points(i, j, bbox)
-            got = sorted((int(b), int(a), px, py) for a, b, px, py, ok
-                         in zip(i, j, x.tolist(), y.tolist(), listed) if ok)
-            want = [(p.j, p.i, *p.position) for p in lat.points_in_box(bbox)]
-            assert got == want
+            x0 = offset[0] - 10.0 + 20.0 * rng.next_double()
+            y0 = offset[1] - 10.0 + 20.0 * rng.next_double()
+            boxes.append((x0, y0, x0 + 12.0 * rng.next_double(), y0 + 12.0 * rng.next_double()))
+        # edges through lattice points, and degenerate boxes that are one point
+        for (i0, j0), (i1, j1) in [((0, 0), (3, 2)), ((-4, -1), (1, 3)), ((2, -3), (2, -3)),
+                                   ((-2, 2), (5, 2))]:
+            (xa, ya), (xb, yb) = lat.point(i0, j0), lat.point(i1, j1)
+            boxes.append((min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb)))
+        ca, cb = (math.floor(c) for c in lat.affine(*offset))
+        window = [(i, j) for j in range(cb - 15, cb + 16) for i in range(ca - 15, ca + 16)]
+        for xmin, ymin, xmax, ymax in boxes:
+            want = [(i, j, lat.point(i, j)) for i, j in window
+                    if xmin <= lat.point(i, j)[0] <= xmax and ymin <= lat.point(i, j)[1] <= ymax]
+            got = lat.points_in_box((xmin, ymin, xmax, ymax))
+            assert [(p.i, p.j, p.position) for p in got] == want
+            assert all(p.colour == lat.colour(p.i, p.j) for p in got)
 
 
 class TestLoeschian:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from diskpack import (Assignment, Circle, DiskSet, InputError, OffsetSampling,
-                      Point, SplitMix64, THREE_COLOUR_SIDE, TriLattice,
+                      Point, RegularHexagon, SplitMix64, THREE_COLOUR_SIDE, TriLattice,
                       VerificationError, bound_table, disk_hexagon_area,
                       gen_chain, gen_clustered, gen_random, gen_spirograph,
                       kcolour_guarantee, min_overlap_closed_form,
@@ -144,7 +144,7 @@ class TestTightConfiguration:
         for p in pts:
             d = math.dist(p, g)
             c = Point(p[0] + (g[0] - p[0]) / d, p[1] + (g[1] - p[1]) / d)
-            overlap = disk_hexagon_area(Circle(c, 1.0), lat.voronoi_cell(p))
+            overlap = disk_hexagon_area(Circle(c, 1.0), RegularHexagon(p, lat.side / SQRT3))
             assert overlap == pytest.approx(DELTA, abs=1e-6)
 
 

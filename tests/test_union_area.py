@@ -283,6 +283,17 @@ class TestNearPairs:
         assert exact_union_area(both) == \
             pytest.approx(2.0 * exact_union_area(cluster), rel=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason="at 3.3e12 the absolute-coordinate Green's-theorem "
+                       "terms give 1.05e9 for a union of area 46.8; the cell-local "
+                       "coordinates of ROADMAP item 1 would fix it")
+    def test_shift_3_3e12_area_matches_translated(self):
+        # translating by minus the first centre is exact (Sterbenz), so the
+        # translated instance holds the same disks as the shifted one
+        shifted = _shifted(gen_random(26, 8.0, 546), 3.3e12, -3.3e12)
+        x0, y0 = shifted.centers[0]
+        near = _shifted(shifted, -x0, -y0)
+        assert exact_union_area(shifted) == pytest.approx(exact_union_area(near), rel=1e-9)
+
     def test_ten_thousand_disks(self):
         n = 10_000
         ds = gen_random(n, 1.4 * math.sqrt(n) + 2, 42)
