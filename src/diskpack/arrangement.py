@@ -40,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from .geometry import EPS, Point
+from .geometry import EPS, Point, _sorted_runs
 from .lattice import Lattice
 from .union_area import DiskSet
 
@@ -521,23 +521,18 @@ def max_distinct_translate_depth(copies: CellCopies, lattice: Lattice) -> DepthW
         raise InputError("non-finite circle center")
 
     # group circles by translate id for the distinct count
-    order = np.lexsort((copies.ids[:, 1], copies.ids[:, 0]))
+    order, group_starts = _sorted_runs(copies.ids[:, 1], copies.ids[:, 0])
     centers = copies.centers[order]
     radii = copies.radii[order]
     ids = copies.ids[order]
-    new_group = np.ones(len(ids), dtype=bool)
-    new_group[1:] = (ids[1:] != ids[:-1]).any(axis=1)
-    group_starts = np.flatnonzero(new_group)
-    groups = np.cumsum(new_group) - 1
+    groups = np.repeat(np.arange(len(group_starts)), np.diff(group_starts, append=len(ids)))
 
     # the copies of one disk nearly always wrap back to one point: keep each
     # bit pattern once
     wx, wy, _, _ = lattice.wrap_to_cell(centers[:, 0], centers[:, 1])
     bits = np.stack([wx, wy], axis=1).view(np.int64)
-    bits = bits[np.lexsort((bits[:, 1], bits[:, 0]))]
-    first = np.ones(len(bits), dtype=bool)
-    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    wrapped = bits[first].view(np.float64)
+    order, first = _sorted_runs(bits[:, 1], bits[:, 0])
+    wrapped = bits[order[first]].view(np.float64)
 
     args = (centers, radii, groups, group_starts, lattice)
     if len(centers) < _BRANCH_MIN_COPIES:

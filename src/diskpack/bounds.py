@@ -133,14 +133,15 @@ def alpha_k(k: int) -> float:
 
 def delta_k(k: int) -> float:
     """Voronoi-cell diameter after the k-colour scaling."""
-    if loeschian_decompose(k) is None:
-        raise InputError(f"k={k} is not Loeschian")
-    return (2.0 / SQRT3) * (2.0 / (math.sqrt(k) - 2.0 / SQRT3))
+    return (2.0 / SQRT3) * alpha_k(k)
 
 
 def kcolour_guarantee(k: int) -> float:
-    d = delta_k(k)
-    return 1.0 / ((1.0 + d) ** 2)
+    """Coverage guarantee of ``solve_kcolour(., k)``: 1 / (1 + delta_k)^2,
+    and for k = 1, which has no scaling, the side-4 lattice's ``c1_lb``."""
+    if k == 1:
+        return bound_table().c1_lb
+    return 1.0 / ((1.0 + delta_k(k)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,35 @@ def _clamp(v: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
+def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): ``np.lexsort(keys)``, the last key primary and ties
+    in index order, and the positions in ``order`` where each run of equal
+    keys starts (equal by ``==``, so 0.0 and -0.0 share a run)."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _scan_runs(starts: np.ndarray, values: np.ndarray, better) -> np.ndarray:
+    """Per run of ``values`` (runs begin at ``starts``), the position that an
+    in-order scan keeps: the run's first, replaced by each later member for
+    which ``better(member, kept)`` holds on arrays of values.  Rank t touches
+    only the runs longer than t, so the work is O(len(values))."""
+    lengths = np.diff(starts, append=len(values))
+    kept = starts.copy()
+    live = np.arange(len(starts))
+    for t in range(1, int(lengths.max(initial=0))):
+        live = live[lengths[live] > t]
+        member = starts[live] + t
+        win = better(values[member], values[kept[live]])
+        kept[live[win]] = member[win]
+    return kept
+
+
 def lens_area(r1: float, r2: float, d: float) -> float:
     """Area of the intersection of two circles with radii r1, r2, centers d apart."""
     require_finite(r1, r2, d, what="lens_area argument")

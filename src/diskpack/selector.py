@@ -35,7 +35,7 @@ from .arrangement import (_CHUNK_BYTES, _pair_intersections,
                           max_distinct_translate_depth, translate_to_cell)
 from .bounds import bound_table, kcolour_guarantee, alpha_k
 from .errors import InputError, VerificationError
-from .geometry import EPS, Point, _edge_disk_area_array
+from .geometry import EPS, Point, _edge_disk_area_array, _scan_runs, _sorted_runs
 from .lattice import (Lattice, LoeschianColouring, SquareLattice, TriLattice,
                       ONE_COLOUR_SIDE, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       loeschian_decompose)
@@ -130,16 +130,14 @@ class _Selection(NamedTuple):
 
     Per offset row: ``weights`` (summed cell overlap of the chosen disks) and
     ``hits`` (lattice points inside the union).  Per pick, sorted by (row, j,
-    i): the lattice point (i, j), the chosen disk and its cell overlap.
+    i): the lattice point (i, j) and the chosen disk.
     """
 
     weights: np.ndarray
     hits: np.ndarray
-    row: np.ndarray
     i: np.ndarray
     j: np.ndarray
     disk: np.ndarray
-    area: np.ndarray
 
 
 # Every positioned lattice side (THREE_COLOUR_SIDE, ONE_COLOUR_SIDE,
@@ -191,36 +189,15 @@ def _select_cells(disks: DiskSet, lattice: Lattice,
     for k in range(len(vx)):
         area += edges[:, k]
 
-    # one group per (offset, lattice point) in (row, j, i) order; the stable
-    # sort keeps ascending disk index within a group
-    order = np.lexsort((i, j, row))
-    row, i, j, disk, area = (v[order] for v in (row, i, j, disk, area))
-    first = np.ones(len(row), dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (j[1:] != j[:-1]) | (i[1:] != i[:-1])
-    group = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    # the scalar scan within each group, one column (rank) at a time
-    width = int(np.diff(np.append(starts, len(row))).max(initial=0))
-    ranked = np.full((len(starts), width), -np.inf)
-    ranked[group, np.arange(len(row)) - starts[group]] = area
-    best_area = np.full(len(starts), -1.0)
-    best_rank = np.zeros(len(starts), dtype=np.intp)
-    for t in range(width):
-        better = ranked[:, t] > best_area + 1e-12
-        best_area[better] = ranked[better, t]
-        best_rank[better] = t
-
-    # per offset, the sequential sum of the chosen areas in (j, i) order
-    prow = row[starts]
-    hits = np.bincount(prow, minlength=m)
-    first_pick = np.cumsum(hits) - hits
-    summands = np.zeros((m, int(hits.max(initial=0))))
-    summands[prow, np.arange(len(starts)) - first_pick[prow]] = best_area
-    weights = np.zeros(m)
-    for t in range(summands.shape[1]):
-        weights += summands[:, t]
-    return _Selection(weights, hits, prow, i[starts], j[starts],
-                      disk[starts + best_rank], best_area)
+    # one run per (offset, lattice point) in (row, j, i) order, ascending
+    # disk index within a run; the scan keeps the largest area by > 1e-12
+    order, starts = _sorted_runs(i, j, row)
+    kept = order[_scan_runs(starts, area[order], lambda new, cur: new > cur + 1e-12)]
+    # per offset, the sequential sum of the chosen areas in (j, i) order:
+    # bincount adds from 0.0 in input order
+    prow = row[kept]
+    return _Selection(np.bincount(prow, area[kept], minlength=m),
+                      np.bincount(prow, minlength=m), i[kept], j[kept], disk[kept])
 
 
 def _select_at(disks: DiskSet, lattice: Lattice):
@@ -322,21 +299,9 @@ def _nearest_cells(disks: DiskSet, lat: Lattice):
     rows = np.arange(len(x))
     i, j, d = wi[rows, pick], wj[rows, pick], d2[rows, pick]
 
-    # one group per cell, members in index order; the scan, one rank at a time
-    order = np.lexsort((rows, j, i))
-    first = np.ones(len(x), dtype=bool)
-    first[1:] = (i[order[1:]] != i[order[:-1]]) | (j[order[1:]] != j[order[:-1]])
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
-    width = int(np.diff(np.append(starts, len(x))).max())
-    member = np.full((len(starts), width), -1)
-    member[group, np.arange(len(x)) - starts[group]] = order
-    holder = member[:, 0].copy()
-    for t in range(1, width):
-        g = np.flatnonzero(member[:, t] >= 0)
-        new, cur = member[g, t], holder[g]
-        better = d[new] < d[cur] - 1e-15
-        holder[g[better]] = new[better]
+    # one run per cell, members in index order (lexsort is stable)
+    order, starts = _sorted_runs(j, i)
+    holder = order[_scan_runs(starts, d[order], lambda new, cur: new < cur - 1e-15)]
     return (i[holder].astype(np.int64), j[holder].astype(np.int64), holder)
 
 
@@ -399,13 +364,10 @@ def _point_codes(home, lo_a, hi_a, lo_b, hi_b):
     and the number of distinct points."""
     pa, pb = np.broadcast_arrays(home[0][:, None, None] + np.arange(lo_a, hi_a + 1)[:, None],
                                  home[1][:, None, None] + np.arange(lo_b, hi_b + 1))
-    order = np.lexsort((pa.ravel(), pb.ravel()))
-    pa, pb = pa.ravel()[order], pb.ravel()[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (pa[1:] != pa[:-1]) | (pb[1:] != pb[:-1])
+    order, starts = _sorted_runs(pa.ravel(), pb.ravel())
     codes = np.empty(len(order), dtype=np.intp)
-    codes[order] = np.cumsum(new) - 1
-    return codes.reshape(len(home[0]), hi_a - lo_a + 1, hi_b - lo_b + 1), int(new.sum())
+    codes[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    return codes.reshape(len(home[0]), hi_a - lo_a + 1, hi_b - lo_b + 1), len(starts)
 
 
 def _weight_bounds(disks: DiskSet, lattice: Lattice,
@@ -582,19 +544,23 @@ def _check_same_colour(disks: DiskSet, labels) -> None:
     """Raise for the first pair of one colour closer than 2r - 1e-8, taking
     colours in order of first appearance, then pairs (i, j) in index order.
 
-    Candidate pairs come from the union-area grid; each one closer than 2r
-    in array arithmetic is retested with the scalar ``math.hypot``.
+    Candidate pairs of coloured disks come from the union-area grid; each
+    one closer than 2r in array arithmetic is retested with the scalar
+    ``math.hypot``.
     """
     rank: dict[int, int] = {}
     colour = np.array([-1 if c is None else rank.setdefault(c, len(rank))
                        for c in labels], dtype=np.intp)
+    # pairs among the coloured disks only, mapped back to disk indices
+    sel = np.flatnonzero(colour >= 0)
     centers = disks.centers_array()
     x, y = centers[:, 0], centers[:, 1]
     reach = 2.0 * disks.radius
     threshold = reach - 1e-8
     found = []
-    for _, _, i, j in _near_pairs(x, y, reach):
-        keep = (i < j) & (colour[i] >= 0) & (colour[i] == colour[j])
+    for _, _, i, j in _near_pairs(x[sel], y[sel], reach):
+        i, j = sel[i], sel[j]
+        keep = (i < j) & (colour[i] == colour[j])
         i, j = i[keep], j[keep]
         close = np.hypot(x[i] - x[j], y[i] - y[j]) < reach
         for a, b in zip(i[close].tolist(), j[close].tolist()):

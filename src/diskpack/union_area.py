@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .geometry import EPS, Point, TWO_PI, require_finite
+from .geometry import EPS, Point, TWO_PI, _sorted_runs, require_finite
 from .prng import double_block
 
 
@@ -107,16 +107,12 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     side = reach + max(float(np.abs(x).max()), float(np.abs(y).max())) * 2.0 ** -50
     col = np.floor(x / side).astype(np.int64)
     row = np.floor(y / side).astype(np.int64)
-    order = np.lexsort((row, col))
-    col, row = col[order], row[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = (col[1:] != col[:-1]) | (row[1:] != row[:-1])
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, n))
+    order, starts = _sorted_runs(row, col)
+    counts = np.diff(starts, append=n)
     cell_of = np.empty(n, dtype=np.intp)
-    cell_of[order] = np.cumsum(new) - 1
+    cell_of[order] = np.repeat(np.arange(len(starts)), counts)
     # dense ranks order the cells as (column, row) does, with keys below n^2
-    col, row = col[starts], row[starts]
+    col, row = col[order[starts]], row[order[starts]]
     cols, col_rank = np.unique(col, return_inverse=True)
     rows, row_rank = np.unique(row, return_inverse=True)
     keys = col_rank * len(rows) + row_rank
@@ -255,12 +251,10 @@ def exact_union_area(disks: DiskSet) -> float:
     # coincident circles collapse to the first of each run of equal rows in
     # (x, y) order, the survivors of sorted(set(centers)), 0.0 and -0.0 alike
     pts = disks.centers_array()
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    if keep.sum() == 1:
+    order, keep = _sorted_runs(pts[:, 1], pts[:, 0])
+    if len(keep) == 1:
         return math.pi * r * r
-    px, py = pts[keep].T
+    px, py = pts[order[keep]].T
     terms = [np.zeros(1)]
     for lo, hi, i, j in _near_pairs(px, py, 2.0 * r):
         terms.append(_block_terms(px, py, r, lo, hi, i, j))

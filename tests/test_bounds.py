@@ -175,3 +175,9 @@ class TestKColourConstants:
     def test_alpha_needs_large_enough_k(self):
         with pytest.raises(InputError):
             alpha_k(1)
+
+    def test_k1_has_no_scaled_cell(self):
+        # (2/sqrt(3)) * 2 / (1 - 2/sqrt(3)) was a negative cell diameter
+        with pytest.raises(InputError):
+            delta_k(1)
+        assert kcolour_guarantee(1) == bound_table().c1_lb

@@ -1,10 +1,13 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from diskpack import (Circle, InputError, Point, RegularHexagon, SplitMix64,
                       boundary_disk_hex_area, circle_polygon_intersection_area,
                       disk_hexagon_area, lens_area, min_overlap_closed_form)
+from diskpack.geometry import _scan_runs, _sorted_runs
 
 SQRT3 = math.sqrt(3.0)
 DELTA = 1.6645382445539252  # value of the closed form, frozen
@@ -219,3 +222,84 @@ class TestMinOverlap:
             t = 2.0 * math.pi * rng.next_double()
             c = Point(r * math.cos(t), r * math.sin(t))
             assert disk_hexagon_area(Circle(c, 1.0), hexa) >= d - 1e-9
+
+
+def _reference_runs(keys):
+    """(order, starts) by Python's stable sort and itertools.groupby."""
+    rows = list(zip(*(k.tolist() for k in reversed(keys))))
+    order = sorted(range(len(rows)), key=lambda t: rows[t])
+    starts, at = [], 0
+    for _, run in itertools.groupby(order, key=lambda t: rows[t]):
+        starts.append(at)
+        at += len(list(run))
+    return order, starts
+
+
+def _reference_scan(starts, values, better):
+    values = values.tolist()
+    kept = []
+    for lo, hi in zip(starts, starts[1:] + [len(values)]):
+        k = lo
+        for t in range(lo + 1, hi):
+            if better(values[t], values[k]):
+                k = t
+        kept.append(k)
+    return kept
+
+
+GREATER = lambda new, cur: new > cur + 1e-12
+LESS = lambda new, cur: new < cur - 1e-15
+
+
+class TestSortedRuns:
+    def check(self, keys, values):
+        order, starts = _sorted_runs(*keys)
+        want_order, want_starts = _reference_runs(keys)
+        assert order.tolist() == want_order
+        assert starts.tolist() == want_starts
+        for better in (GREATER, LESS):
+            assert _scan_runs(starts, values[order], better).tolist() == \
+                _reference_scan(want_starts, values[order], better)
+
+    def test_empty(self):
+        self.check([np.zeros(0), np.zeros(0, dtype=np.int64)], np.zeros(0))
+
+    def test_single_run(self):
+        values = np.array([1.0, 3.0, 2.0, 3.0 + 1e-12, 5.0])
+        self.check([np.full(5, 7.0), np.full(5, -2)], values)
+        order, starts = _sorted_runs(np.full(5, 7.0))
+        assert starts.tolist() == [0]
+        assert _scan_runs(starts, values, GREATER).tolist() == [4]
+
+    def test_random_keys(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 17, 300):
+            keys = [rng.integers(0, 4, n), rng.integers(-2, 2, n).astype(float)]
+            self.check(keys, rng.choice([0.0, 1.0, 1.0 + 1e-12, 2.0], n))
+
+    def test_bit_pattern_keys(self):
+        x = np.array([0.0, -0.0, 1.5, 0.0, 2.0 ** 60, -0.0, 1.5, -(2.0 ** 60)])
+        bits = x.view(np.int64)
+        self.check([bits, bits[::-1].copy()], x)
+        order, starts = _sorted_runs(bits)
+        # 0.0 and -0.0 differ in their bits
+        assert len(starts) == 5
+
+    def test_signed_zeros_share_a_run(self):
+        x = np.array([0.0, -0.0, 0.0, 1.0, -0.0])
+        order, starts = _sorted_runs(x)
+        assert order.tolist() == [0, 1, 2, 4, 3]
+        assert starts.tolist() == [0, 4]
+
+    def test_ties_at_the_margins(self):
+        cur = 1.0
+        up = cur + 1e-12
+        down = cur - 1e-15
+        values = np.array([cur, up, cur, math.nextafter(up, 2.0), 0.5,
+                           cur, down, math.nextafter(down, 0.0)])
+        run = np.array([0, 0, 1, 1, 1, 2, 2, 2])
+        starts = np.array([0, 2, 5])
+        # a member exactly at the margin does not replace the kept one
+        assert _scan_runs(starts, values, GREATER).tolist() == [0, 3, 5]
+        assert _scan_runs(starts, values, LESS).tolist() == [0, 4, 7]
+        self.check([run], values)

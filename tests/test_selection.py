@@ -6,6 +6,7 @@ labels, offsets, hit counts and cell sums, bit for bit.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,3 +324,37 @@ def test_same_colour_check_order_and_duplicates():
     assert _check_outcome(_verify_check, ds, labels) == \
         "disks 1 and 2 share colour 0 but overlap" == \
         _check_outcome(reference_same_colour_check, ds, labels)
+
+
+def test_selection_memory_is_bounded_by_n():
+    # 3000 copies of one disk share a lattice point of both lattices: the
+    # scans must not pad every cell to the longest run
+    n = 3000
+    ds = DiskSet.from_pairs(list(gen_random(n, 1.4 * math.sqrt(n) + 2.0, 3).centers)
+                            + [(0.0, 0.0)] * n)
+    ds.centers_array()
+    for select in (lambda: selector._nearest_cells(ds, TriLattice(alpha_k(7))),
+                   lambda: _select_cells(ds, TriLattice(THREE_COLOUR_SIDE),
+                                         np.zeros(1), np.zeros(1))):
+        tracemalloc.start()
+        try:
+            select()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+def test_same_colour_check_pairs_only_coloured_disks(monkeypatch):
+    seen = []
+    near_pairs = selector._near_pairs
+
+    def recording(x, y, reach):
+        seen.append((x.tolist(), y.tolist()))
+        return near_pairs(x, y, reach)
+
+    monkeypatch.setattr(selector, "_near_pairs", recording)
+    ds = DiskSet.from_pairs([(0.0, 0.0)] * 5 + [(3.0, 0.0), (0.5, 0.5), (9.0, 1.0)])
+    labels = [None, 1, None, None, None, 0, None, 1]
+    _verify_check(ds, labels)
+    assert seen == [([0.0, 3.0, 9.0], [0.0, 0.0, 1.0])]

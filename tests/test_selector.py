@@ -116,6 +116,7 @@ class TestKColour:
         assert assignment.k == 1
         assert_valid(ds, assignment)
         assert report.ratio >= kcolour_guarantee(1) - 1e-9
+        assert report.guarantee == kcolour_guarantee(1)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("k", [3, 4, 7, 12])
