@@ -13,13 +13,19 @@ copy's wrapped center; each candidate is scored by an exact closed-disk
 recount, which makes the result independent of sweep bookkeeping and of
 degeneracies such as tangencies.  Every arrangement face inside the cell is
 bounded by a generated copy, and an intersection-free circle attains its
-maximum at its (wrapped) center, so this candidate set is complete.
+maximum at its (wrapped) center, so this candidate set is complete.  One
+formula decides every membership, in the recount, the quadtree bounds and
+the witness's per-translate counts: the elementwise
+d^2 = (qx - cx)^2 + (qy - cy)^2 against (r + EPS)^2.  No matrix product
+enters, so a count depends on neither the BLAS build nor the chunk a point
+falls in.
 
 Most circles cannot reach the best count, so a branch and bound over a
 quadtree of the cell (``_surviving_squares``) comes first: each square gets
 an exact lower bound at its centre and an upper bound from the disks grown by
-its half-diagonal, and only circles whose boundary meets a square that can
-still hold the best count are swept, each against all k copies.  On random
+its half-diagonal, both from one block of squared distances, and only
+circles whose boundary meets a square that can still hold the best count are
+swept, each against all k copies.  On random
 instances that is a few percent of the circles (under 1 % for k ~ 7000).
 The work is an O(k) count for each of roughly k squares plus O(k log k) per
 swept circle: still quadratic, but in membership tests rather than in the
@@ -178,44 +184,44 @@ def _pair_intersections(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _membership_chunks(cands: np.ndarray, centers: np.ndarray, radii: np.ndarray):
-    """Yield (base, memb) bool blocks of the closed-disk membership matrix;
-    each block is valid until the next one is yielded.
+def _distance_blocks(pts: np.ndarray, centers: np.ndarray):
+    """Yield (base, d2, a, b) over chunks of the points ``pts``:
+    d2[t, c] = (x_t - cx_c)^2 + (y_t - cy_c)^2 in elementwise arithmetic
+    against every centre, and two bool blocks of its shape for the caller's
+    tests.  The blocks serve every chunk, as fresh blocks this large cost
+    page faults chunk after chunk; each is valid until the next yield."""
+    cx, cy = np.ascontiguousarray(centers.T)
+    # two float and two bool blocks take 18 bytes a pair; budgeting 32 leaves
+    # room for the callers' temporaries (18 raised peak RSS by 1 to 2 MB).
+    # A quadtree chunk makes ~20 NumPy calls: one-row chunks made the bounds
+    # 7 % slower at k = 36 855 than two-row ones
+    chunk = max(2, _CHUNK_BYTES // (32 * max(len(cx), 1)))
+    shape = (min(chunk, len(pts)), len(cx))
+    d2, dy = np.empty(shape), np.empty(shape)
+    a, b = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    for base in range(0, len(pts), chunk):
+        p = pts[base:base + chunk]
+        m = len(p)
+        np.square(np.subtract(p[:, :1], cx, out=d2[:m]), out=d2[:m])
+        np.square(np.subtract(p[:, 1:], cy, out=dy[:m]), out=dy[:m])
+        yield base, np.add(d2[:m], dy[:m], out=d2[:m]), a[:m], b[:m]
 
-    Uses |q - c|^2 = |q|^2 - 2 q.c + |c|^2 with a BLAS product for the cross
-    term; coordinates are re-centered first so the expansion stays well
-    conditioned at the tolerance used.
-    """
-    mid = centers.mean(axis=0)
-    c = centers - mid
-    q_all = cands - mid
-    col = (c * c).sum(axis=1) - (radii + EPS) ** 2
-    k = max(len(centers), 1)
-    # two float blocks and the bool block, 17 bytes a pair, serve every
-    # chunk: fresh blocks this large cost page faults chunk after chunk
-    chunk = max(2, _CHUNK_BYTES // (32 * k))
-    cross = np.empty((max(2, min(chunk, len(cands))), len(centers)))
-    rhs = np.empty_like(cross)
-    memb = np.empty(cross.shape, dtype=bool)
-    for base in range(0, len(cands), chunk):
-        q = q_all[base:base + chunk]
-        m = len(q)
-        # a one-row product runs BLAS's gemv, which rounds differently from
-        # gemm: a last single row is doubled, so that a count does not
-        # depend on the chunk it falls in
-        np.matmul(q if m > 1 else q[[0, 0]], c.T, out=cross[:max(m, 2)])
-        np.multiply(cross[:m], 2.0, out=cross[:m])
-        np.add((q * q).sum(axis=1)[:, None], col, out=rhs[:m])
-        yield base, np.greater_equal(cross[:m], rhs[:m], out=memb[:m])
+
+def _group_counts(memb: np.ndarray, group_starts: np.ndarray) -> np.ndarray:
+    """Per row of a membership block, the number of groups with a member."""
+    # bitwise_or over the bool bytes runs up to twice as fast as logical_or
+    covered = np.bitwise_or.reduceat(memb.view(np.uint8), group_starts, axis=1)
+    return np.count_nonzero(covered, axis=1)
 
 
 def _distinct_counts(cands: np.ndarray, centers: np.ndarray, radii: np.ndarray,
                      group_starts: np.ndarray) -> np.ndarray:
-    """Number of translate groups covering each candidate (closed disks)."""
+    """Number of translate groups covering each candidate (closed disks):
+    d^2 <= (r + EPS)^2."""
+    lim = np.square(radii + EPS)
     counts = np.empty(len(cands), dtype=np.int64)
-    for base, memb in _membership_chunks(cands, centers, radii):
-        covered = np.logical_or.reduceat(memb, group_starts, axis=1)
-        counts[base:base + len(memb)] = np.count_nonzero(covered, axis=1)
+    for base, d2, memb, _ in _distance_blocks(cands, centers):
+        counts[base:base + len(d2)] = _group_counts(np.less_equal(d2, lim, out=memb), group_starts)
     return counts
 
 
@@ -424,17 +430,23 @@ def _surviving_squares(centers, radii, group_starts, lattice):
     so no level bounds more than ``_ROW_SQUARES`` * k squares.  Returns the
     centres of the surviving leaves, their ``reach``, the rows and ``floor``.
 
-    ``margin`` covers rounding.  Let B >= 1 bound the norm of every point
-    and centre in the recentred frame of ``_membership_chunks`` and every
-    radius + EPS there; ``big`` is such a B.  That test errs by less than
-    30u*B^2 in squared distance (u = 2**-53, recentring included), so a
-    point it accepts lies within r + EPS + 15u*B^2/r of the centre, and the
-    grown test at the square's centre accepts every point within
-    r' + EPS - 30u*B^2/r'.  The margin must cover both terms, plus the
-    rounding of the square's centre, of reach, of a candidate on its circle
-    and of the squared distances in ``_boundaries_near`` (a few u*B each):
-    256u*B^2/min(r) does, about five times over, and is ~1e-12 for unit
-    disks in the cells used here.
+    ``margin`` covers rounding.  Every membership test here and in
+    ``_distinct_counts`` and ``_boundaries_near`` compares the elementwise
+    d^2 = (x - cx)^2 + (y - cy)^2 with (rho + EPS)^2 or rho^2 for a radius
+    rho.  Each side is within a factor (1 +- u)^5 of its exact value
+    (u = 2**-53, one factor per IEEE rounding; a square below the normal
+    range errs by at most 2**-1074, far below EPS^2), so an accepted point
+    lies within (rho + EPS)(1 + 5u) of the centre and every point within
+    (rho + EPS)(1 - 6u) is accepted, whatever the frame or the chunk.  Let
+    B >= 1 bound the norm of every point and centre and every
+    r + reach + EPS; ``big`` is such a B.  A point of the square counted at
+    radius r then lies within r + EPS + 5u*B + h of the square's centre,
+    where h is the square's half-diagonal plus the rounding of the centre,
+    of reach and of the point's affine position (a few u*B each), and the
+    grown test at the centre accepts it once margin >= 11u*B plus those few
+    u*B.  The band test of ``_boundaries_near`` needs 6u*B plus the rounding
+    of a candidate on its circle (a few u*B).  256u*B covers both over ten
+    times.
     """
     k = len(centers)
     ux, uy = lattice.u
@@ -442,8 +454,8 @@ def _surviving_squares(centers, radii, group_starts, lattice):
     unit_half_diag = 0.5 * max(math.hypot(ux + vx, uy + vy), math.hypot(ux - vx, uy - vy))
     big = (2.0 * float(np.hypot(centers[:, 0], centers[:, 1]).max()) + math.hypot(*lattice.offset)
            + math.hypot(ux, uy) + math.hypot(vx, vy) + float(radii.max()) + 1.0)
-    rmin = float(radii.min())
-    margin = 256.0 * 2.0 ** -53 * big * big / rmin if rmin > 0.0 else math.inf
+    margin = 256.0 * 2.0 ** -53 * big
+    lim = np.square(radii + EPS)
     ia = ib = np.zeros(1, dtype=np.int64)
     rows = np.arange(k)
     floor = 0
@@ -453,12 +465,16 @@ def _surviving_squares(centers, radii, group_starts, lattice):
         sx, sy = lattice.point((ia + 0.5) * size, (ib + 0.5) * size)
         pts = np.stack([sx, sy], axis=1)
         reach = size * unit_half_diag + margin
-        upper = _distinct_counts(pts, centers, radii + reach, group_starts)
-        # a square whose upper bound is below the floor cannot raise it
-        live = np.flatnonzero(upper >= floor)
-        lower = _distinct_counts(pts[live], centers, radii, group_starts)
-        floor = max(floor, int(lower.max(initial=0)))
-        keep = live[upper[live] >= floor]
+        grown = np.square(radii + reach + EPS)
+        upper = np.empty(len(pts), dtype=np.int64)
+        for base, d2, memb, _ in _distance_blocks(pts, centers):
+            up = _group_counts(np.less_equal(d2, grown, out=memb), group_starts)
+            upper[base:base + len(up)] = up
+            # a square whose upper bound is below the floor cannot raise it
+            live = up >= floor
+            lower = _group_counts(np.less_equal(d2, lim, out=memb)[live], group_starts)
+            floor = max(floor, int(lower.max(initial=0)))
+        keep = np.flatnonzero(upper >= floor)
         ia, ib, pts = ia[keep], ib[keep], pts[keep]
         rows = _boundaries_near(centers, radii, rows, pts, reach)
         if 4 * len(ia) >= _ROW_SQUARES * len(rows) or level == _MAX_LEVEL:
@@ -472,22 +488,10 @@ def _boundaries_near(centers, radii, rows, pts, reach):
     """The circles among ``rows`` whose boundary passes within ``reach`` of
     one of the points ``pts``: (r - reach)^2 <= d^2 <= (r + reach)^2.  A
     circle of radius 0 is a point."""
-    cx = centers[rows, 0]
-    cy = centers[rows, 1]
     lo = np.square(np.maximum(radii[rows] - reach, 0.0))
     hi = np.square(radii[rows] + reach)
     meets = np.zeros(len(rows), dtype=bool)
-    # two float and two bool blocks serve every chunk, as in _membership_chunks
-    chunk = max(1, _CHUNK_BYTES // (24 * len(rows)))
-    shape = (min(chunk, len(pts)), len(rows))
-    bufs = (np.empty(shape), np.empty(shape),
-            np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
-    for base in range(0, len(pts), chunk):
-        p = pts[base:base + chunk]
-        d2, dy, above, below = (b[:len(p)] for b in bufs)
-        np.square(np.subtract(p[:, :1], cx, out=d2), out=d2)
-        np.square(np.subtract(p[:, 1:], cy, out=dy), out=dy)
-        np.add(d2, dy, out=d2)
+    for _, d2, above, below in _distance_blocks(pts, centers[rows]):
         np.greater_equal(d2, lo, out=above)
         np.less_equal(d2, hi, out=below)
         meets |= np.logical_and(above, below, out=above).any(axis=0)

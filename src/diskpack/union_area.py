@@ -174,44 +174,29 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     s = np.mod(alpha - beta, TWO_PI)
     e = s + 2.0 * beta
     wraps = e > TWO_PI
-    # a cover that passes 2*pi splits into [s, 2*pi] and [0, e - 2*pi]; the
-    # pieces are grouped by circle, a stable sort merging two ascending runs
+    # a cover that passes 2*pi splits into [s, 2*pi] and [0, e - 2*pi]
     pc = np.concatenate([ci, ci[wraps]])
-    order = np.argsort(pc, kind="stable")
-    pc = pc[order]
-    ps = np.concatenate([s, np.zeros(int(wraps.sum()))])[order]
-    pe = np.concatenate([np.where(wraps, TWO_PI, e), e[wraps] - TWO_PI])[order]
+    ps = np.concatenate([s, np.zeros(int(wraps.sum()))])
+    pe = np.concatenate([np.where(wraps, TWO_PI, e), e[wraps] - TWO_PI])
 
-    # each circle's covers fill one row, padded to a power-of-two width so a
-    # few 2-d sorts serve every degree; rows are laid out in circle order
-    count = np.bincount(pc, minlength=hi - lo)
-    width = np.where(count > 0, 2 ** np.frexp(count - 1)[1], 0)
-    base = np.cumsum(width) - width
-    slot = base[pc] + np.arange(len(pc)) - (np.cumsum(count) - count)[pc]
-    start = np.full(int(width.sum()), np.inf)
-    end = np.zeros(len(start))
-    start[slot] = ps
-    end[slot] = pe
-    # sorted by start, a run of overlapping covers ends at the running max of
-    # their ends; the order among equal starts changes neither, as no break
-    # falls between equal starts
-    for w in (np.flatnonzero(np.bincount(width)[2:]) + 2).tolist():
-        rows = base[width == w][:, None]
-        cells = rows + np.arange(w)
-        by_start = rows + np.argsort(start[cells], axis=1)
-        start[cells] = start[by_start]
-        end[cells] = np.maximum.accumulate(end[by_start], axis=1)
+    # sorted by (circle, start), a run of overlapping covers ends at the
+    # running max of their ends, taken per circle: complex numbers compare by
+    # real part first, and a circle index is exact as a float; the order
+    # among equal starts changes neither, as no break falls between them
+    order = np.lexsort((ps, pc))
+    pc, start = pc[order], ps[order]
+    end = np.maximum.accumulate(pc + 1j * pe[order]).imag
 
     # gaps between runs, and the gap through angle 0 after each circle's last
-    # run; the padding (start inf) is never a break
+    # run; a circle's covers start at base
+    count = np.bincount(pc, minlength=hi - lo)
+    base = np.cumsum(count) - count
     has = np.flatnonzero(count)
     first, last = base[has], base[has] + count[has] - 1
-    inner = np.isfinite(start)
-    inner[first] = False
-    brk = np.flatnonzero(inner[1:] & ~(start[1:] <= end[:-1] + 1e-15)) + 1
+    brk = np.flatnonzero((pc[1:] == pc[:-1]) & ~(start[1:] <= end[:-1] + 1e-15)) + 1
     brk = brk[start[brk] - end[brk - 1] > 1e-15]
     wrap = (TWO_PI - end[last]) + start[first] > 1e-15
-    gc = np.concatenate([np.repeat(np.arange(hi - lo), width)[brk], has[wrap]]) + lo
+    gc = np.concatenate([pc[brk], has[wrap]]) + lo
     p1 = np.concatenate([end[brk - 1], end[last[wrap]]])
     p2 = np.concatenate([start[brk], start[first[wrap]] + TWO_PI])
     key = np.concatenate([2 * brk, 2 * last[wrap] + 1])

@@ -15,7 +15,7 @@ from diskpack import (EPS, CellCopies, Circle, DepthWitness, DiskSet, InputError
                       circle_polygon_intersection_area, gen_clustered, gen_random,
                       gen_spirograph, max_distinct_translate_depth, translate_to_cell)
 from diskpack.arrangement import (_CHUNK_BYTES, _cell_sweep_candidates, _distinct_counts,
-                                  _membership_chunks, _pair_intersections)
+                                  _pair_intersections)
 from diskpack.geometry import TWO_PI, require_finite
 from diskpack.lattice import Lattice, LatticePoint
 from diskpack.prng import double_block
@@ -44,6 +44,16 @@ def grid_depth_oracle(circles, resolution=900, bbox=None):
     return best
 
 
+def _memberships(cands: np.ndarray, centers: np.ndarray, radii: np.ndarray):
+    """(base, memb) blocks of closed-disk membership, 256 candidates at a
+    time, in the library's elementwise formula:
+    d^2 = (qx - cx)^2 + (qy - cy)^2 <= (r + EPS)^2."""
+    lim = (radii + EPS) ** 2
+    for base in range(0, len(cands), 256):
+        q = cands[base:base + 256]
+        yield base, (q[:, :1] - centers[:, 0]) ** 2 + (q[:, 1:] - centers[:, 1]) ** 2 <= lim
+
+
 def max_depth(circles: Sequence[Circle]) -> tuple[Point, int]:
     """Point of maximum coverage depth over a plain set of circles: every
     pairwise intersection and centre, scored by closed-disk membership."""
@@ -54,7 +64,7 @@ def max_depth(circles: Sequence[Circle]) -> tuple[Point, int]:
     verts = _pair_intersections(centers, radii)
     cands = np.concatenate([verts, centers]) if len(verts) else centers
     counts = np.empty(len(cands), dtype=np.int64)
-    for base, memb in _membership_chunks(cands, centers, radii):
+    for base, memb in _memberships(cands, centers, radii):
         counts[base:base + len(memb)] = memb.sum(axis=1)
     best = int(counts.max())
     at_best = cands[counts == best]
@@ -379,7 +389,7 @@ def reference_distinct_counts(cands: np.ndarray, centers: np.ndarray, radii: np.
     k = len(centers)
     ends = np.concatenate([group_starts[1:], [k]]) - 1
     counts = np.empty(len(cands), dtype=np.int64)
-    for base, memb in _membership_chunks(cands, centers, radii):
+    for base, memb in _memberships(cands, centers, radii):
         cs = np.cumsum(memb, axis=1, dtype=np.int32)
         seg_end = cs[:, ends]
         seg_before = np.zeros_like(seg_end)

@@ -1,10 +1,11 @@
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from diskpack import (CellCopies, Circle, DiskSet, InputError, ONE_COLOUR_SIDE, Point,
+from diskpack import (EPS, CellCopies, Circle, DiskSet, InputError, ONE_COLOUR_SIDE, Point,
                       SplitMix64, SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       TriLattice, exact_union_area, gen_chain,
                       gen_random, gen_spirograph,
@@ -20,9 +21,9 @@ from test_acceptance import build_corpus
 
 
 LAT = TriLattice(THREE_COLOUR_SIDE)
-LATTICES = pytest.mark.parametrize(
-    "lattice", [TriLattice(THREE_COLOUR_SIDE), TriLattice(ONE_COLOUR_SIDE),
-                SquareLattice(TWO_COLOUR_SIDE)], ids=["tri3", "tri1", "square2"])
+ALL_LATTICES = [TriLattice(THREE_COLOUR_SIDE), TriLattice(ONE_COLOUR_SIDE),
+                SquareLattice(TWO_COLOUR_SIDE)]
+LATTICES = pytest.mark.parametrize("lattice", ALL_LATTICES, ids=["tri3", "tri1", "square2"])
 
 # nested circles of different radii (a contained circle never crosses its
 # container), a centre shared by two translates and an exact external
@@ -99,14 +100,20 @@ class TestMaxDistinctTranslateDepth:
         assert w.distinct_translates == len(
             [c for c in w.per_translate_counts.values() if c > 0])
 
-    def test_witness_point_covered_by_counted_circles(self):
-        ds = gen_random(25, 8.0, 3)
-        copies = translate_to_cell(ds, LAT)
-        w = max_distinct_translate_depth(copies, LAT)
-        for tid in w.per_translate_counts:
-            hits = [c for c, t in zip(copies.centers.tolist(), copies.ids.tolist())
-                    if tuple(t) == tid and math.dist(c, w.point) <= 1.0 + 1e-9]
-            assert hits
+    def test_witness_point_covered_by_counted_circles(self, small_corpus):
+        # the near-tangent families put the witness on or next to circles
+        instances = [gen_random(25, 8.0, 3)] + small_corpus + _hard_families()[len(_dense_family()):]
+        for lattice, ds in itertools.product(ALL_LATTICES, instances):
+            copies = translate_to_cell(ds, lattice)
+            w = max_distinct_translate_depth(copies, lattice)
+            qx, qy = w.point
+            hits: dict[tuple[int, int], int] = {}
+            for (cx, cy), r, tid in zip(copies.centers.tolist(), copies.radii.tolist(),
+                                        map(tuple, copies.ids.tolist())):
+                if (qx - cx) * (qx - cx) + (qy - cy) * (qy - cy) <= (r + EPS) * (r + EPS):
+                    hits[tid] = hits.get(tid, 0) + 1
+            assert w.per_translate_counts == hits
+            assert w.distinct_translates == len(w.per_translate_counts)
 
     def test_matches_grid_oracle_small_instances(self):
         for seed in range(12):
@@ -278,6 +285,38 @@ def test_distinct_counts_matches_cumulative_sum_count_in_any_chunk():
             assert np.array_equal(_distinct_counts(q, centers, radii, group_starts), whole[lo:hi])
             assert np.array_equal(reference_distinct_counts(q, centers, radii, group_starts),
                                   whole[lo:hi])
+
+
+@pytest.mark.parametrize("grow", [0.0, 0.1], ids=["plain", "grown"])
+def test_distinct_counts_match_scalar_formula_at_the_boundary(grow):
+    # candidates 0 to 4 ulps either side of r + EPS from random copy centres,
+    # at the recount's radii and at the quadtree's grown ones: each count is
+    # the scalar dx*dx + dy*dy <= (r + EPS) * (r + EPS), groups reduced by hand
+    copies = translate_to_cell(gen_random(80, 1.4 * math.sqrt(80) + 2.0, 5), LAT)
+    centers, radii, ids, group_starts, _ = reference_sweep_inputs(copies)
+    radii = radii + grow
+    rng = SplitMix64(31)
+    cands = []
+    for _ in range(3000):
+        t = rng.randrange(len(centers))
+        cx, cy = centers[t].tolist()
+        rho = float(radii[t]) + EPS
+        steps = rng.randrange(9) - 4
+        for _ in range(abs(steps)):
+            rho = math.nextafter(rho, math.copysign(math.inf, steps))
+        theta = 2.0 * math.pi * rng.next_double()
+        cands.append((cx + rho * math.cos(theta), cy + rho * math.sin(theta)))
+    expected = []
+    for qx, qy in cands:
+        hit = set()
+        for (cx, cy), r, tid in zip(centers.tolist(), radii.tolist(), ids):
+            dx = qx - cx
+            dy = qy - cy
+            if dx * dx + dy * dy <= (r + EPS) * (r + EPS):
+                hit.add(tid)
+        expected.append(len(hit))
+    got = _distinct_counts(np.array(cands), centers, radii, group_starts)
+    assert got.tolist() == expected
 
 
 @LATTICES
