@@ -21,16 +21,19 @@ enters, so a count depends on neither the BLAS build nor the chunk a point
 falls in.
 
 Most circles cannot reach the best count, so a branch and bound over a
-quadtree of the cell (``_surviving_squares``) comes first: each square gets
-an exact lower bound at its centre and an upper bound from the disks grown by
-its half-diagonal, both from one block of squared distances, and only
-circles whose boundary meets a square that can still hold the best count are
-swept, each against all k copies.  On random
-instances that is a few percent of the circles (under 1 % for k ~ 7000).
-The work is an O(k) count for each of roughly k squares plus O(k log k) per
-swept circle: still quadratic, but in membership tests rather than in the
-sorted events of sweeping every circle.  Below ``_BRANCH_MIN_COPIES`` copies
-every circle is swept outright, which is then faster.
+quadtree of the cell (``_surviving_squares``) comes first.  Each square
+carries the number of translate groups with a copy containing it whole, and
+the list of copies that straddle it; its children test only that list, so a
+square costs O(its straddlers), not O(k), and the straddlers thin out as the
+squares shrink (at k = 36 855, about 13 000 a square at level 2 and about
+8 at level 13).  The lists give each square an exact lower bound
+at its centre and an upper bound over the square, and only listed circles
+whose boundary meets a square that can still hold the best count are swept,
+each against all k copies: on random instances a few percent of the
+circles (under 1 % for k ~ 7000).  Levels with long lists are refined in
+batches, depth first, so memory stays O(k) (BENCH_depth.json).  Below
+``_BRANCH_MIN_COPIES`` copies every circle is swept outright, which is then
+faster.
 
 The sweep and the recount are NumPy code over chunks of rows (circles or
 candidates) against all k copies.  A chunk's row count comes from the fixed
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,14 +65,28 @@ _EDGE_BAND = 1e-9
 # deepest quadtree level of the depth search's branch and bound (side 2**-30
 # of the cell, near EPS for the cells used here)
 _MAX_LEVEL = 30
+# (list entry, child square) pairs bounded in one block of the quadtree: a
+# block's temporaries take about 32 bytes a pair, and half the byte budget
+# kept peak RSS at the old bounds' level (blocks of 62 500 pairs raised it
+# by 1.2 MB at k ~ 700) and ran as fast or faster
+_LIST_PAIRS = _CHUNK_BYTES // 64
+# list entries of one batch of squares: a level whose lists hold more is
+# refined a batch at a time, depth first, so the lists held at once stay
+# near (tree depth) * 4 * _BATCH_ENTRIES entries whatever k.  The lists of
+# a breadth-first level grow faster than k (2.5 GB at k = 184 171); 2**13
+# to 2**18 ran equally fast at k = 36 855, and 2**13 to 2**15 peaked lowest
+_BATCH_ENTRIES = 1 << 15
+# the four children of a square, (column, row) offsets
+_QUARTERS = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.int64)
 # the depth search refines its quadtree while the next level bounds fewer than
-# this many squares per circle left to sweep; of 4, 8, 16 and 32, 8 ran
-# fastest at n = 200 and within 10 % of the fastest at n = 1000 and 2000
-_ROW_SQUARES = 8
+# this many squares per circle left to sweep; of 4, 8, 16, 32, 64 and 128,
+# 32 ran fastest at n = 200, 2000 and 10 000 (6 to 9 % faster than 8)
+_ROW_SQUARES = 32
 # below this many copies every circle is swept without the branch and bound,
 # whose fixed cost per level then outweighs what it prunes: on gen_random
 # ladders the two cost the same between 100 and 135 copies on all three
-# lattices (BENCH_weighted.json)
+# lattices (BENCH_weighted.json), with the straddler lists too; at about 45
+# copies the full sweep took 1.9 ms and the branch and bound 3.2 ms
 _BRANCH_MIN_COPIES = 120
 
 
@@ -99,8 +116,9 @@ def translate_to_cell(disks: DiskSet, lattice: Lattice) -> CellCopies:
     """One copy of each disk per (half-open) cell translate it intersects.
 
     Copies are listed disk by disk, each disk's translates in (dj, di) order.
-    All disks are tested against the nine translates around their own cell
-    at once; the arithmetic is the per-disk scalar arithmetic, element-wise.
+    Every (disk, translate) pair among the nine translates around the disk's
+    own cell that a cheap affine bound leaves in play is tested at once; the
+    arithmetic is the per-disk scalar arithmetic, element-wise.
     """
     if abs(disks.radius - 1.0) > 1e-9:
         raise InputError("translate_to_cell expects unit disks")
@@ -111,40 +129,51 @@ def translate_to_cell(disks: DiskSet, lattice: Lattice) -> CellCopies:
     ux, uy = lattice.u
     vx, vy = lattice.v
     shifts = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
-    keep = np.empty((len(pts), len(shifts)), dtype=bool)
-    for col, (di, dj) in enumerate(shifts):
-        # distance to the closed cell translate (di, dj) and the closest point
+    # edge e of translate (di, dj) runs from corner e to corner e + 1
+    edges = []
+    for di, dj in shifts:
         ox, oy = lattice.point(di, dj)
         corners = ((ox, oy), (ox + ux, oy + uy), (ox + ux + vx, oy + uy + vy), (ox + vx, oy + vy))
-        best_d2 = best_qx = best_qy = None
         for e in range(4):
-            ax, ay = corners[e]
-            bx, by = corners[(e + 1) % 4]
-            ex = bx - ax
-            ey = by - ay
-            t = ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)
-            t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
-            qx = ax + t * ex
-            qy = ay + t * ey
-            # float_power calls C pow like Python's ** does; x*x can differ by an ulp
-            d2 = np.float_power(px - qx, 2.0) + np.float_power(py - qy, 2.0)
-            if best_d2 is None:
-                best_d2, best_qx, best_qy = d2, qx, qy
-            else:
-                closer = d2 < best_d2
-                best_d2 = np.where(closer, d2, best_d2)
-                best_qx = np.where(closer, qx, best_qx)
-                best_qy = np.where(closer, qy, best_qy)
-        inside = (0.0 <= a - di) & (a - di <= 1.0) & (0.0 <= b - dj) & (b - dj <= 1.0)
-        d = np.where(inside, 0.0, np.sqrt(best_d2))
-        # tangent contact: include only when the touch point belongs to the
-        # half-open cell
-        ca, cb = lattice.affine(best_qx, best_qy)
-        touch_in = (di <= ca) & (ca < di + 1.0) & (dj <= cb) & (cb < dj + 1.0)
-        tangent = (d > r - 1e-12) & (d > 0.0)
-        keep[:, col] = (d <= r + 1e-12) & (~tangent | touch_in)
-    rows, cols = np.nonzero(keep)
-    di, dj = np.array(shifts, dtype=np.int64)[cols].T
+            (ax, ay), (bx, by) = corners[e], corners[(e + 1) % 4]
+            edges.append((ax, ay, bx - ax, by - ay, (bx - ax) * (bx - ax) + (by - ay) * (by - ay)))
+    edges = np.array(edges).reshape(9, 4, 5)
+    di, dj = np.array(shifts, dtype=np.int64).T
+    # a disk is at least (affine gap) * (cell height) from a translate; the
+    # pairs farther than r + 1e-6 that way, far beyond rounding, cannot touch
+    area = abs(ux * vy - uy * vx)
+    gap_a = np.maximum(np.maximum(di - a[:, None], a[:, None] - (di + 1.0)), 0.0)
+    gap_b = np.maximum(np.maximum(dj - b[:, None], b[:, None] - (dj + 1.0)), 0.0)
+    rows, cols = np.nonzero(np.maximum(gap_a * (area / math.hypot(vx, vy)),
+                                       gap_b * (area / math.hypot(ux, uy))) <= r + 1e-6)
+    x, y, di, dj = px[rows], py[rows], di[cols], dj[cols]
+    # distance to the closed cell translate and the closest point: per edge,
+    # the clamped projection; the first edge of least distance wins
+    for e in range(4):
+        ax, ay, ex, ey, norm = edges[cols, e].T
+        t = ((x - ax) * ex + (y - ay) * ey) / norm
+        t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+        qx = ax + t * ex
+        qy = ay + t * ey
+        # float_power calls C pow like Python's ** does; x*x can differ by an ulp
+        d2 = np.float_power(x - qx, 2.0) + np.float_power(y - qy, 2.0)
+        if e == 0:
+            best_d2, best_qx, best_qy = d2, qx, qy
+        else:
+            closer = d2 < best_d2
+            best_d2 = np.where(closer, d2, best_d2)
+            best_qx = np.where(closer, qx, best_qx)
+            best_qy = np.where(closer, qy, best_qy)
+    sa, sb = a[rows] - di, b[rows] - dj
+    inside = (0.0 <= sa) & (sa <= 1.0) & (0.0 <= sb) & (sb <= 1.0)
+    d = np.where(inside, 0.0, np.sqrt(best_d2))
+    # tangent contact: include only when the touch point belongs to the
+    # half-open cell
+    ca, cb = lattice.affine(best_qx, best_qy)
+    touch_in = (di <= ca) & (ca < di + 1.0) & (dj <= cb) & (cb < dj + 1.0)
+    tangent = (d > r - 1e-12) & (d > 0.0)
+    keep = (d <= r + 1e-12) & (~tangent | touch_in)
+    rows, di, dj = rows[keep], di[keep], dj[keep]
     cx = px[rows] - di * ux - dj * vx
     cy = py[rows] - di * uy - dj * vy
     ids = []
@@ -415,38 +444,77 @@ def _arc_point(cx, cy, ri, mids, row, t):
     return (cx[row] + r * math.cos(mid), cy[row] + r * math.sin(mid))
 
 
-def _surviving_squares(centers, radii, group_starts, lattice):
-    """Branch and bound over a quadtree of squares in the cell's affine
-    coordinates [0, 1)^2, level by level.
+class _Leaves(NamedTuple):
+    """What ``_surviving_squares`` keeps: the surviving leaves' ``centres``
+    (m, 2) and ``reach`` (m,), the circles to sweep (``rows``), the best
+    lower bound (``floor``) and each leaf's ``upper`` and ``lower`` bound."""
 
-    A square's lower bound is the exact count at its centre, a real cell
-    point; its upper bound is the count at the centre with every radius grown
-    by ``reach``, the square's Cartesian half-diagonal plus ``margin``, so it
-    bounds the count at every point of the square.  A square survives while
-    its upper bound is >= the best lower bound so far (``floor``), and a
-    circle stays a row to sweep while its boundary meets a surviving square.
-    Survivors are split into four until the next level would bound at least
-    ``_ROW_SQUARES`` times as many squares as there are rows left to sweep,
-    so no level bounds more than ``_ROW_SQUARES`` * k squares.  Returns the
-    centres of the surviving leaves, their ``reach``, the rows and ``floor``.
+    centres: np.ndarray
+    reach: np.ndarray
+    rows: np.ndarray
+    floor: int
+    upper: np.ndarray
+    lower: np.ndarray
+
+
+def _surviving_squares(centers, radii, groups, lattice) -> _Leaves:
+    """Branch and bound over a quadtree of squares in the cell's affine
+    coordinates [0, 1)^2.
+
+    Each square carries ``base``, the number of translate groups with a copy
+    that contains the whole square, and its list of straddlers: the copies
+    that reach it without containing it, each flagged when its group is in
+    ``base``.  With ``reach`` the square's Cartesian half-diagonal plus
+    ``margin``, a copy of radius r at squared distance d^2 from the square's
+    centre reaches the square when d^2 <= (r + reach + EPS)^2 and contains
+    it when d^2 < (r - reach)^2.  A copy that contains a square contains its
+    children, and one that does not reach it reaches none of them, so
+    children test only their parent's list.  A square's upper bound is
+    ``base`` plus the distinct unflagged groups that reach it; its lower
+    bound is ``base`` plus the distinct unflagged groups that cover its
+    centre (d^2 <= (r + EPS)^2), which is the recount at the centre.  A
+    square survives while its upper bound is >= the best lower bound so far
+    (``floor``), and a listed copy is a row to sweep while its boundary band,
+    (r - reach)^2 <= d^2 <= (r + reach)^2, meets a surviving leaf.  The
+    squares of a level are split into four, a batch of at most
+    ``_BATCH_ENTRIES`` list entries at a time, depth first, until a batch
+    would bound at least ``_ROW_SQUARES`` times as many squares as it has
+    rows to sweep; leaves whose upper bound fell below the final floor are
+    dropped at the end.
 
     ``margin`` covers rounding.  Every membership test here and in
-    ``_distinct_counts`` and ``_boundaries_near`` compares the elementwise
-    d^2 = (x - cx)^2 + (y - cy)^2 with (rho + EPS)^2 or rho^2 for a radius
-    rho.  Each side is within a factor (1 +- u)^5 of its exact value
-    (u = 2**-53, one factor per IEEE rounding; a square below the normal
-    range errs by at most 2**-1074, far below EPS^2), so an accepted point
-    lies within (rho + EPS)(1 + 5u) of the centre and every point within
-    (rho + EPS)(1 - 6u) is accepted, whatever the frame or the chunk.  Let
-    B >= 1 bound the norm of every point and centre and every
-    r + reach + EPS; ``big`` is such a B.  A point of the square counted at
-    radius r then lies within r + EPS + 5u*B + h of the square's centre,
-    where h is the square's half-diagonal plus the rounding of the centre,
-    of reach and of the point's affine position (a few u*B each), and the
-    grown test at the centre accepts it once margin >= 11u*B plus those few
-    u*B.  The band test of ``_boundaries_near`` needs 6u*B plus the rounding
-    of a candidate on its circle (a few u*B).  256u*B covers both over ten
-    times.
+    ``_distinct_counts`` and ``_near_leaves`` compares the elementwise
+    d^2 = (x - cx)^2 + (y - cy)^2 with rho^2 for a radius rho (r + EPS,
+    r + reach + EPS, r + reach, r - reach or reach).  Each side is within a
+    factor (1 +- u)^5 of its exact value (u = 2**-53, one factor per IEEE
+    rounding; a square below the normal range errs by at most 2**-1074, far
+    below EPS^2), so an accepted point lies within rho (1 + 5u) of the
+    centre and every point within rho (1 - 6u) is accepted, whatever the
+    frame or the chunk.  Let B >= 1 bound the norm of every point and centre
+    and every r + reach + EPS; ``big`` is such a B.  Every point of a square
+    (a descendant's centre, a candidate, a wrapped centre) lies within h of
+    the square's centre, where h is the half-diagonal plus the rounding of
+    the centre, of ``reach`` and of the point's affine position, a few u*B.
+    - reach: a point that the recount counts at radius r lies within
+      r + EPS + 5u*B + h of the centre, which the reach test accepts once
+      margin >= 11u*B plus those few u*B.  So a copy that fails the test
+      covers no point of the square or of its descendants, and the lists
+      drop it for good.
+    - contains: a copy that passes the test lies within
+      (r - reach)(1 + 5u) <= r - reach + 5u*B of the centre, so every point
+      of the square lies within r - margin + 5u*B plus the few u*B of it,
+      and the recount accepts every point within r + EPS - 6u*B: once
+      margin >= 11u*B plus those few u*B, even without the EPS, the copy
+      covers every point of the square and of its descendants in the
+      recount.  So counting its group once in ``base`` is exact for all of
+      them, and the lower bound, which tests the other listed copies with
+      the recount's own expression, equals the recount at the centre.
+    - band: a sweep candidate of circle c that lies in the square is on c
+      up to a few u*B, so c passes the band test, and so neither fails the
+      reach test nor passes the contains test: c is listed, and swept.  The
+      same 6u*B plus a few u*B keeps every wrapped centre of a leaf within
+      reach of the leaf's centre.
+    256u*B covers each over ten times.
     """
     k = len(centers)
     ux, uy = lattice.u
@@ -455,47 +523,184 @@ def _surviving_squares(centers, radii, group_starts, lattice):
     big = (2.0 * float(np.hypot(centers[:, 0], centers[:, 1]).max()) + math.hypot(*lattice.offset)
            + math.hypot(ux, uy) + math.hypot(vx, vy) + float(radii.max()) + 1.0)
     margin = 256.0 * 2.0 ** -53 * big
-    lim = np.square(radii + EPS)
-    ia = ib = np.zeros(1, dtype=np.int64)
-    rows = np.arange(k)
-    floor = 0
+    cx, cy = np.ascontiguousarray(centers.T)
+    # with one radius every threshold is one number
+    one_radius = bool(radii.min() == radii.max())
+    # the root's children are the squares of the first level whose reach is
+    # below the largest radius, where a copy can first contain a square:
+    # above it every list holds nearly every copy, so bounding those levels
+    # one by one would prune nothing.  No level bounds more than
+    # _ROW_SQUARES * k squares
     level = 0
-    while True:
-        size = 0.5 ** level
-        sx, sy = lattice.point((ia + 0.5) * size, (ib + 0.5) * size)
-        pts = np.stack([sx, sy], axis=1)
-        reach = size * unit_half_diag + margin
-        grown = np.square(radii + reach + EPS)
-        upper = np.empty(len(pts), dtype=np.int64)
-        for base, d2, memb, _ in _distance_blocks(pts, centers):
-            up = _group_counts(np.less_equal(d2, grown, out=memb), group_starts)
-            upper[base:base + len(up)] = up
-            # a square whose upper bound is below the floor cannot raise it
-            live = up >= floor
-            lower = _group_counts(np.less_equal(d2, lim, out=memb)[live], group_starts)
-            floor = max(floor, int(lower.max(initial=0)))
-        keep = np.flatnonzero(upper >= floor)
-        ia, ib, pts = ia[keep], ib[keep], pts[keep]
-        rows = _boundaries_near(centers, radii, rows, pts, reach)
-        if 4 * len(ia) >= _ROW_SQUARES * len(rows) or level == _MAX_LEVEL:
-            return pts, reach, rows, floor
-        ia = (2 * ia[:, None] + np.array([0, 1, 0, 1])).ravel()
-        ib = (2 * ib[:, None] + np.array([0, 0, 1, 1])).ravel()
+    while (0.5 ** level * unit_half_diag + margin >= radii.max()
+           and 4 ** (level + 1) <= _ROW_SQUARES * k and level < _MAX_LEVEL):
         level += 1
+    quarters = np.stack(np.divmod(np.arange(4 ** level, dtype=np.int64), 2 ** level)[::-1])
+    # batches of squares of one level with their lists, refined depth first;
+    # the root's list holds every copy, and no group is counted yet
+    zero = np.zeros(1, dtype=np.int64)
+    stack = [(level, quarters, zero, zero, zero,
+              np.zeros(k, dtype=np.intp), np.arange(k), np.zeros(k, dtype=bool))]
+    floor = 0
+    kept, nkept = [], 0
+    meets = np.zeros(k, dtype=bool)
+    # per level, the squared radii of the reach, cover, contain and band tests
+    per_level = {}
+    while stack:
+        level, quarters, ia, ib, base, sq, cp, fl = stack.pop()
+        size = 0.5 ** level
+        reach = size * unit_half_diag + margin
+        if level not in per_level:
+            rho = radii[:1] if one_radius else radii
+            per_level[level] = np.square(np.stack([rho + reach + EPS, rho + EPS,
+                                                   np.maximum(rho - reach, 0.0), rho + reach]))
+        limits = per_level[level]
+        bounds = _list_bounds(sq, len(ia))
+        squares, lists = [], []
+        done = 0
+        for lo, hi, q0, q1 in _list_blocks(bounds, quarters.shape[1]):
+            # children in (quarter, parent) order
+            m = hi - lo
+            nq = q1 - q0
+            cia = (2 * ia[lo:hi] + quarters[0, q0:q1, None]).ravel()
+            cib = (2 * ib[lo:hi] + quarters[1, q0:q1, None]).ravel()
+            sx, sy = lattice.point((cia + 0.5) * size, (cib + 0.5) * size)
+            e = slice(bounds[lo], bounds[hi])
+            c, f = cp[e], fl[e]
+            counts = bounds[lo + 1:hi + 1] - bounds[lo:hi]
+            d2 = np.square(np.repeat(sx.reshape(nq, m), counts, axis=1) - cx[c])
+            d2 += np.square(np.repeat(sy.reshape(nq, m), counts, axis=1) - cy[c])
+            grown, lim, inner, outer = limits if one_radius else limits[:, c]
+            # per (quarter, entry), three nested tests of the entries whose
+            # group is not yet counted: the copy reaches the child, covers
+            # its centre, contains it
+            hits = np.empty((3,) + d2.shape, dtype=bool)
+            np.less_equal(d2, grown, out=hits[0])
+            np.less_equal(d2, lim, out=hits[1])
+            np.less(d2, inner, out=hits[2])
+            hits &= ~f
+            flag = f | hits[2]
+            runs = _group_runs(sq[e], groups[c])
+            if runs is not None:
+                # a run passes the tests its best entry passes; the first
+                # entry holds that, the others nothing
+                pos, starts, lengths, later = runs
+                passed = hits[:, :, pos].view(np.uint8)
+                top = np.maximum.reduceat(passed[0] + passed[1] + passed[2], starts, axis=-1)
+                hits[:, :, later] = False
+                hits[:, :, pos[starts]] = top >= np.arange(1, 4, dtype=np.uint8)[:, None, None]
+                flag[:, pos] |= np.repeat(top == 3, lengths, axis=-1)
+            sums = np.zeros((3, nq, m), dtype=np.int64)
+            full = counts > 0
+            if len(c):
+                sums[:, :, full] = np.add.reduceat(hits, bounds[lo:hi][full] - bounds[lo],
+                                                   axis=-1, dtype=np.int32)
+            up, low, cbase = (sums + base[lo:hi]).reshape(3, -1)
+            floor = max(floor, int(low.max(initial=0)))
+            # a child whose upper bound is below the floor cannot raise it;
+            # the others keep the copies that reach without containing them
+            live = np.repeat((up >= floor).reshape(nq, m), counts, axis=1)
+            pick = np.flatnonzero(live & (d2 >= inner) & (d2 <= grown))
+            t, at = np.divmod(pick, len(c))
+            band = d2.ravel()[pick] <= (outer if one_radius else outer[at])
+            squares.append((cia, cib, sx, sy, cbase, up, low))
+            lists.append((done + t * m + (sq[e][at] - lo), c[at], flag.ravel()[pick], band))
+            done += len(cia)
+        cia, cib, sx, sy, cbase, up, low = _joined(squares)
+        csq, ccp, cfl, cband = _joined(lists)
+        alive = up >= floor
+        sel = alive[csq]
+        ia, ib, base, up = cia[alive], cib[alive], cbase[alive], up[alive]
+        # the surviving children's lists; the blocks' lists go at once, as
+        # a level's lists are the largest arrays held
+        del squares, lists
+        sq, cp, fl, band = (np.cumsum(alive) - 1)[csq[sel]], ccp[sel], cfl[sel], cband[sel]
+        del csq, ccp, cfl, cband
+        meets[cp[band]] = True
+        rows = np.count_nonzero(meets)
+        meets[cp[band]] = False
+        if 4 * len(ia) >= _ROW_SQUARES * rows or level == _MAX_LEVEL:
+            kept.append((sx[alive], sy[alive], np.full(len(ia), reach), up, low[alive],
+                         nkept + sq[band], cp[band]))
+            nkept += len(ia)
+            continue
+        bounds = _list_bounds(sq, len(ia))
+        for lo, hi in reversed(list(_square_ranges(bounds, _BATCH_ENTRIES))):
+            e = slice(bounds[lo], bounds[hi])
+            stack.append((level + 1, _QUARTERS, ia[lo:hi], ib[lo:hi], base[lo:hi],
+                          sq[e] - lo, cp[e], fl[e]))
+    # a leaf kept before the floor rose to its last value may now fall below it
+    sx, sy, reach, up, low, leaf, row = _joined(kept)
+    alive = up >= floor
+    meets[row[alive[leaf]]] = True
+    return _Leaves(np.stack([sx, sy], axis=1)[alive], reach[alive], np.flatnonzero(meets),
+                   floor, up[alive], low[alive])
 
 
-def _boundaries_near(centers, radii, rows, pts, reach):
-    """The circles among ``rows`` whose boundary passes within ``reach`` of
-    one of the points ``pts``: (r - reach)^2 <= d^2 <= (r + reach)^2.  A
-    circle of radius 0 is a point."""
-    lo = np.square(np.maximum(radii[rows] - reach, 0.0))
-    hi = np.square(radii[rows] + reach)
-    meets = np.zeros(len(rows), dtype=bool)
-    for _, d2, above, below in _distance_blocks(pts, centers[rows]):
-        np.greater_equal(d2, lo, out=above)
-        np.less_equal(d2, hi, out=below)
-        meets |= np.logical_and(above, below, out=above).any(axis=0)
-    return rows[meets]
+def _list_bounds(sq, n):
+    """Where each of the n squares' entries start in lists sorted by square,
+    and the total."""
+    return np.concatenate([[0], np.cumsum(np.bincount(sq, minlength=n))])
+
+
+def _joined(blocks):
+    """The blocks' arrays, each concatenated over the blocks."""
+    return blocks[0] if len(blocks) == 1 else [np.concatenate(a) for a in zip(*blocks)]
+
+
+def _square_ranges(bounds, budget):
+    """(lo, hi) for runs of consecutive squares whose lists,
+    ``bounds[lo]:bounds[hi]``, hold at most ``budget`` entries, or for one
+    square whose list alone holds more."""
+    lo = 0
+    while lo < len(bounds) - 1:
+        hi = int(np.searchsorted(bounds, bounds[lo] + budget, side="right")) - 1
+        hi = min(len(bounds) - 1, max(lo + 1, hi))
+        yield lo, hi
+        lo = hi
+
+
+def _list_blocks(bounds, nq):
+    """(lo, hi, q0, q1) per block of the quadtree's bounds: squares lo..hi-1
+    and their children in quarters q0..q1-1, about ``_LIST_PAIRS`` (entry,
+    child) pairs a block.  A square whose list alone exceeds that is split
+    by quarters."""
+    for lo, hi in _square_ranges(bounds, _LIST_PAIRS // nq):
+        step = max(1, _LIST_PAIRS // max(int(bounds[hi] - bounds[lo]), 1))
+        for q0 in range(0, nq, step):
+            yield lo, hi, q0, min(q0 + step, nq)
+
+
+def _group_runs(sq, grp):
+    """The runs of list entries (sorted by square, then group) that share a
+    square and a group, when some run holds more than one entry: positions
+    of those runs' entries, where each run starts among them, its length,
+    and the positions of every entry but a run's first.  None otherwise."""
+    same = (sq[1:] == sq[:-1]) & (grp[1:] == grp[:-1])
+    if not same.any():
+        return None
+    later = np.flatnonzero(same) + 1
+    member = np.zeros(len(sq), dtype=bool)
+    member[later] = True
+    member[later - 1] = True
+    pos = np.flatnonzero(member)
+    first = np.ones(len(sq), dtype=bool)
+    first[later] = False
+    starts = np.flatnonzero(first[pos])
+    lengths = np.empty_like(starts)
+    lengths[:-1] = starts[1:] - starts[:-1]
+    lengths[-1] = len(pos) - starts[-1]
+    return pos, starts, lengths, later
+
+
+def _near_leaves(points, leaves):
+    """Indices of the ``points`` within reach of some leaf's centre:
+    d^2 <= reach^2."""
+    lim = np.square(leaves.reach)[:, None]
+    near = np.zeros(len(points), dtype=bool)
+    for base, d2, memb, _ in _distance_blocks(leaves.centres, points):
+        near |= np.less_equal(d2, lim[base:base + len(d2)], out=memb).any(axis=0)
+    return np.flatnonzero(near)
 
 
 def _scored_candidates(centers, radii, groups, group_starts, lattice, rows, extra):
@@ -542,11 +747,10 @@ def max_distinct_translate_depth(copies: CellCopies, lattice: Lattice) -> DepthW
     if len(centers) < _BRANCH_MIN_COPIES:
         cands, counts = _scored_candidates(*args, np.arange(len(centers)), wrapped)
     else:
-        leaves, reach, rows, floor = _surviving_squares(centers, radii, group_starts, lattice)
-        near = _boundaries_near(wrapped, np.zeros(len(wrapped)), np.arange(len(wrapped)),
-                                leaves, reach)
-        cands, counts = _scored_candidates(*args, rows, wrapped[near])
-        if len(counts) == 0 or counts.max() < floor:
+        leaves = _surviving_squares(centers, radii, groups, lattice)
+        cands, counts = _scored_candidates(*args, leaves.rows,
+                                           wrapped[_near_leaves(wrapped, leaves)])
+        if len(counts) == 0 or counts.max() < leaves.floor:
             cands, counts = _scored_candidates(*args, np.arange(len(centers)), wrapped)
     best = int(counts.max())
     at_best = cands[counts == best]

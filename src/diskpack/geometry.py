@@ -49,6 +49,12 @@ def _clamp(v: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
+# _scan_runs finishes this many runs, or fewer, one by one, and finds up to
+# this many changes of a run's kept member with NumPy before a scalar loop
+# takes over: a NumPy round costs about as much as 50 scalar steps
+_SCALAR_RUNS = 32
+
+
 def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts): ``np.lexsort(keys)``, the last key primary and ties
     in index order, and the positions in ``order`` where each run of equal
@@ -65,16 +71,37 @@ def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scan_runs(starts: np.ndarray, values: np.ndarray, better) -> np.ndarray:
     """Per run of ``values`` (runs begin at ``starts``), the position that an
     in-order scan keeps: the run's first, replaced by each later member for
-    which ``better(member, kept)`` holds on arrays of values.  Rank t touches
-    only the runs longer than t, so the work is O(len(values))."""
+    which ``better(member, kept)`` holds, on arrays of values or on floats.
+    Rank t touches only the runs longer than t, one NumPy round for all of
+    them while more than ``_SCALAR_RUNS`` are left; each of the rest jumps
+    from kept member to kept member, then finishes in a scalar loop.  So the
+    work is O(len(values)), and so is the number of NumPy rounds, however
+    long the longest run."""
     lengths = np.diff(starts, append=len(values))
     kept = starts.copy()
     live = np.arange(len(starts))
-    for t in range(1, int(lengths.max(initial=0))):
-        live = live[lengths[live] > t]
+    t = 1
+    while len(live := live[lengths[live] > t]) > _SCALAR_RUNS:
         member = starts[live] + t
         win = better(values[member], values[kept[live]])
         kept[live[win]] = member[win]
+        t += 1
+    for run in live.tolist():
+        k, m, end = int(kept[run]), int(starts[run]) + t, int(starts[run] + lengths[run])
+        # the first later member better than the kept one is the next kept
+        # one: one NumPy step per change, for the first few changes
+        for _ in range(_SCALAR_RUNS):
+            win = np.flatnonzero(better(values[m:end], values[k]))
+            if len(win) == 0:
+                m = end
+                break
+            k = m + int(win[0])
+            m = k + 1
+        cur = float(values[k])
+        for offset, v in enumerate(values[m:end].tolist()):
+            if better(v, cur):
+                k, cur = m + offset, v
+        kept[run] = k
     return kept
 
 

@@ -164,10 +164,10 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     two_r = 2.0 * r
     close = np.flatnonzero(dx * dx + dy * dy <= max(two_r * two_r * (1.0 + 2.0 ** -46),
                                                     2.0 ** -1000))
-    dx, dy = dx[close], dy[close]
+    i, j, dx, dy = i[close], j[close], dx[close], dy[close]
     d = np.hypot(dx, dy)
     near = (d > 0.0) & (d < two_r)
-    ci = i[close[near]] - lo
+    ci = i[near] - lo
     # each neighbour covers the angles [alpha - beta, alpha + beta] of circle ci
     alpha = np.arctan2(dy[near], dx[near])
     beta = np.arccos(np.clip(d[near] / two_r, -1.0, 1.0))
@@ -182,8 +182,10 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     # sorted by (circle, start), a run of overlapping covers ends at the
     # running max of their ends, taken per circle: complex numbers compare by
     # real part first, and a circle index is exact as a float; the order
-    # among equal starts changes neither, as no break falls between them
-    order = np.lexsort((ps, pc))
+    # among equal starts changes neither, as no break falls between them.
+    # The stable complex sort orders as np.lexsort((ps, pc)) does, and runs
+    # faster on these nearly sorted keys
+    order = np.argsort(pc + 1j * ps, kind="stable")
     pc, start = pc[order], ps[order]
     end = np.maximum.accumulate(pc + 1j * pe[order]).imag
 
@@ -201,8 +203,9 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     p2 = np.concatenate([start[brk], start[first[wrap]] + TWO_PI])
     key = np.concatenate([2 * brk, 2 * last[wrap] + 1])
 
-    # drop arcs whose midpoint lies strictly inside a disk of the circle's
-    # 3 x 3 cells; no other disk can reach it
+    # drop arcs whose midpoint lies strictly inside another disk; only the
+    # pairs within 2r can hold it, as every other disk is at least r from
+    # the circle
     mid = 0.5 * (p1 + p2)
     mx = px[gc] + r * np.cos(mid)
     my = py[gc] + r * np.sin(mid)

@@ -7,7 +7,7 @@ import pytest
 
 from diskpack import (EPS, CellCopies, Circle, DiskSet, InputError, ONE_COLOUR_SIDE, Point,
                       SplitMix64, SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
-                      TriLattice, exact_union_area, gen_chain,
+                      TriLattice, exact_union_area, gen_chain, gen_clustered,
                       gen_random, gen_spirograph,
                       max_distinct_translate_depth, solve_basic_3colour, translate_to_cell)
 from diskpack import arrangement
@@ -191,7 +191,27 @@ def _hard_families():
                gen_chain(30, 2.0, Point(-3.3, 7.1))]
             # duplicated centres
             + [DiskSet(1.0, dup.centers * 3), DiskSet(1.0, (Point(0.4, 0.4),) * 5),
-               DiskSet(1.0, gen_spirograph(12, 0.2).centers * 2)])
+               DiskSet(1.0, gen_spirograph(12, 0.2).centers * 2)]
+            # clusters put several copies of one translate in one square's
+            # list (148 to 222 copies)
+            + [gen_clustered(60, 3, 10.0, 1.0, 5)])
+
+
+def _duplicates_family():
+    # 200 duplicates of one disk, 466 to 911 copies
+    ds = gen_random(30, 1.4 * math.sqrt(30) + 2.0, 4)
+    return [DiskSet(1.0, ds.centers + (ds.centers[0],) * 200)]
+
+
+def _mixed_radii_copies():
+    # 200 copies of radii 0.3 to 1.5 over 40 translates
+    rng = SplitMix64(8)
+    rows = []
+    for t in range(200):
+        a, b = rng.next_double(), rng.next_double()
+        rows.append((LAT.point(a, b), 0.3 + 1.2 * rng.next_double(),
+                     (rng.randrange(8), rng.randrange(5)), t))
+    return cell_copies(rows)
 
 
 @LATTICES
@@ -211,13 +231,75 @@ def test_witness_matches_full_sweep_on_hard_families(lattice):
 
 
 @LATTICES
-def test_witness_matches_full_sweep_on_mixed_radii(lattice):
+def test_witness_matches_full_sweep_on_mixed_radii(lattice, monkeypatch):
     for rows in (MIXED_RADII, MIXED_RADII[::-1], MIXED_RADII[:3],
                  [((0.0, 0.0), 1.0, (0, 0), 0), ((1.0, 0.0), 1.0, (1, 0), 1),
                   ((0.5, 0.8), 1.0, (0, 1), 2)]):
         copies = cell_copies(rows)
         assert max_distinct_translate_depth(copies, lattice) == \
             full_sweep_max_distinct_translate_depth(copies, lattice)
+    # per-copy radii through the branch and bound too
+    copies = _mixed_radii_copies()
+    assert len(copies) >= arrangement._BRANCH_MIN_COPIES
+    assert max_distinct_translate_depth(copies, lattice) == \
+        full_sweep_max_distinct_translate_depth(copies, lattice)
+    monkeypatch.setattr(arrangement, "_BRANCH_MIN_COPIES", 0)
+    for rows in (MIXED_RADII, MIXED_RADII[::-1]):
+        copies = cell_copies(rows)
+        assert max_distinct_translate_depth(copies, lattice) == \
+            full_sweep_max_distinct_translate_depth(copies, lattice)
+
+
+def _bound_cases(lattice):
+    """(copies, sorted sweep inputs) of the families the bound tests use."""
+    instances = quick_corpus() + _hard_families() + _duplicates_family()
+    for copies in [translate_to_cell(ds, lattice) for ds in instances] + [_mixed_radii_copies()]:
+        yield copies, reference_sweep_inputs(copies)
+
+
+@LATTICES
+def test_swept_rows_hold_every_circle_that_reaches_the_best_count(lattice):
+    # the quadtree runs at any size here; every circle it leaves unswept
+    # has a sweep maximum below the best count, and so has every wrapped
+    # centre it leaves unscored
+    for copies, (centers, radii, _, group_starts, groups) in _bound_cases(lattice):
+        best = full_sweep_max_distinct_translate_depth(copies, lattice).distinct_translates
+        leaves = arrangement._surviving_squares(centers, radii, groups, lattice)
+        assert leaves.floor <= best
+        unswept = np.setdiff1d(np.arange(len(centers)), leaves.rows)
+        pts = _cell_sweep_candidates(centers, radii, groups, len(group_starts), lattice, unswept)
+        counts = _distinct_counts(np.array(pts).reshape(-1, 2), centers, radii, group_starts)
+        assert (counts < best).all()
+        wx, wy, _, _ = lattice.wrap_to_cell(centers[:, 0], centers[:, 1])
+        wrapped = np.stack([wx, wy], axis=1)
+        far = np.setdiff1d(np.arange(len(wrapped)), arrangement._near_leaves(wrapped, leaves))
+        assert (_distinct_counts(wrapped[far], centers, radii, group_starts) < best).all()
+
+
+@LATTICES
+@pytest.mark.parametrize("max_level", [None, 2, 4, 7])
+def test_leaf_bounds_hold_at_every_point_of_the_leaf(lattice, max_level, monkeypatch):
+    # leaves at the natural stop, or every survivor of one level: each lower
+    # bound is the recount at the leaf's centre, and no recount at a point
+    # of the leaf (corners included) exceeds its upper bound
+    if max_level is not None:
+        monkeypatch.setattr(arrangement, "_ROW_SQUARES", 10 ** 9)
+        monkeypatch.setattr(arrangement, "_MAX_LEVEL", max_level)
+    (ux, uy), (vx, vy) = lattice.u, lattice.v
+    unit_half_diag = 0.5 * max(math.hypot(ux + vx, uy + vy), math.hypot(ux - vx, uy - vy))
+    rng = np.random.default_rng(17)
+    corners = [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5)]
+    for _, (centers, radii, _, group_starts, groups) in _bound_cases(lattice):
+        leaves = arrangement._surviving_squares(centers, radii, groups, lattice)
+        assert np.array_equal(leaves.lower,
+                              _distinct_counts(leaves.centres, centers, radii, group_starts))
+        assert leaves.lower.max() <= leaves.floor <= leaves.upper.min()
+        size = 2.0 ** -np.round(np.log2(unit_half_diag / leaves.reach))
+        a, b = lattice.affine(leaves.centres[:, 0], leaves.centres[:, 1])
+        for da, db in corners + [tuple(rng.uniform(-0.5, 0.5, 2)) for _ in range(4)]:
+            px, py = lattice.point(a + da * size, b + db * size)
+            counts = _distinct_counts(np.stack([px, py], axis=1), centers, radii, group_starts)
+            assert (counts <= leaves.upper).all()
 
 
 def test_floor_above_every_candidate_scores_all(monkeypatch):
@@ -239,8 +321,8 @@ def test_floor_above_every_candidate_scores_all(monkeypatch):
     surviving_squares = arrangement._surviving_squares
 
     def unreachable_floor(*args):
-        leaves, reach, rows, floor = surviving_squares(*args)
-        return leaves, reach, rows[:1], floor + 1
+        leaves = surviving_squares(*args)
+        return leaves._replace(rows=leaves.rows[:1], floor=leaves.floor + 1)
 
     monkeypatch.setattr(arrangement, "_surviving_squares", unreachable_floor)
     copies = translate_to_cell(_dense_family()[0], LAT)

@@ -291,6 +291,20 @@ class TestSortedRuns:
         assert order.tolist() == [0, 1, 2, 4, 3]
         assert starts.tolist() == [0, 4]
 
+    def test_many_runs_and_long_runs(self):
+        # more live runs than _SCALAR_RUNS take NumPy rounds, the rest jump
+        # from kept member to kept member and then scan one by one: runs of
+        # 1 to 400 members, one of them falling by 1e-12 at every member, one
+        # of equal members and one rising by 1e-12
+        rng = np.random.default_rng(4)
+        run = np.repeat(np.arange(300), rng.integers(1, 12, 300))
+        run = np.concatenate([run, np.full(400, 300), np.full(400, 301), np.full(400, 302)])
+        values = rng.choice([0.0, 1.0, 1.0 + 1e-12, 2.0], len(run))
+        values[-1200:-800] = 1.0 - 1e-12 * np.arange(400)
+        values[-800:-400] = 1.0
+        values[-400:] = 1.0 + 1e-12 * np.arange(400)
+        self.check([run], values)
+
     def test_ties_at_the_margins(self):
         cur = 1.0
         up = cur + 1e-12

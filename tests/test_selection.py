@@ -345,6 +345,23 @@ def test_selection_memory_is_bounded_by_n():
         assert peak < 16e6
 
 
+def test_scan_time_is_linear_in_the_disks_sharing_a_point():
+    # 10^5 copies of one disk share a lattice point: the scan keeps the
+    # first and labels no other.  One NumPy round per member took the solve
+    # 1.16 to 1.36 s; finishing long runs in one loop takes 0.13 to 0.15 s
+    base = gen_random(100, 16.0, 1)
+    ds = DiskSet(1.0, base.centers + (base.centers[0],) * 100_000)
+    ds.centers_array()
+    want = solve_kcolour(base, 7)[0].labels + (None,) * 100_000
+    elapsed = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assignment, _ = solve_kcolour(ds, 7)
+        elapsed = min(elapsed, time.perf_counter() - t0)
+        assert assignment.labels == want
+    assert elapsed < 0.2
+
+
 def test_same_colour_check_pairs_only_coloured_disks(monkeypatch):
     seen = []
     near_pairs = selector._near_pairs
