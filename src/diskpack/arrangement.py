@@ -155,8 +155,7 @@ def translate_to_cell(disks: DiskSet, lattice: Lattice) -> CellCopies:
         t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
         qx = ax + t * ex
         qy = ay + t * ey
-        # float_power calls C pow like Python's ** does; x*x can differ by an ulp
-        d2 = np.float_power(x - qx, 2.0) + np.float_power(y - qy, 2.0)
+        d2 = np.square(x - qx) + np.square(y - qy)
         if e == 0:
             best_d2, best_qx, best_qy = d2, qx, qy
         else:

@@ -4,6 +4,7 @@ Conventions used throughout the package:
 
 * disks are closed sets: a point on the bounding circle is contained;
 * geometric predicates use an absolute tolerance ``EPS`` (plane units);
+* every squared distance that decides is x * x, correctly rounded everywhere;
 * regular hexagons have their vertices in the directions 30 + k*60 degrees
   from the center, so the +x axis bisects an edge pair.  This matches the
   Voronoi cells of a triangular lattice whose first basis vector lies along +x.

@@ -171,8 +171,7 @@ def _select_cells(disks: DiskSet, lattice: Lattice,
     listed = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
     ddx = np.tile(np.repeat(centers[:, 0], 4), m) - x
     ddy = np.tile(np.repeat(centers[:, 1], 4), m) - y
-    # C pow, as the scalar test's ``** 2``: x * x can round differently
-    covered = np.float_power(ddx, 2.0) + np.float_power(ddy, 2.0) <= (r + EPS) ** 2
+    covered = ddx * ddx + ddy * ddy <= (r + EPS) * (r + EPS)
 
     idx = np.flatnonzero(covered & listed)
     i, j = i[idx], j[idx]
@@ -280,21 +279,20 @@ def _nearest_cells(disks: DiskSet, lat: Lattice):
     whose centre lies nearest the lattice point.
 
     Repeats, for all disks at once, a scan in index order where a disk takes
-    the cell of its nearest lattice point (smallest (d, i, j) key over the
-    4 x 4 window around its affine floor) from the holder when
-    d_new < d_cur - 1e-15.  Distances are squared with C ``pow``
-    (``np.float_power``), the call Python's ``** 2`` makes, and the window is
-    enumerated i-major, so the first minimum is that key and every decision
-    is the scalar one, bit for bit.
+    the cell of its nearest lattice point (smallest (d, i, j) key) from the
+    holder when d_new < d_cur - 1e-15.  The short diagonal cuts the 2 x 2
+    corners around the centre's affine floor into two equilateral triangles,
+    and the nearest lattice point is a vertex of the one holding the centre;
+    a floor rounded across an edge keeps the edge's ends, nearer than any
+    apex.  The corners go i-major, so the first minimum is that key.
     """
     centers = disks.centers_array()
     x, y = centers[:, 0], centers[:, 1]
     a, b = lat.affine(x, y)
-    step = np.arange(-1.0, 3.0)
-    wi = np.floor(a)[:, None] + np.repeat(step, 4)
-    wj = np.floor(b)[:, None] + np.tile(step, 4)
+    wi = np.floor(a)[:, None] + np.array([0.0, 0.0, 1.0, 1.0])
+    wj = np.floor(b)[:, None] + np.array([0.0, 1.0, 0.0, 1.0])
     qx, qy = lat.point(wi, wj)
-    d2 = np.float_power(x[:, None] - qx, 2.0) + np.float_power(y[:, None] - qy, 2.0)
+    d2 = np.square(x[:, None] - qx) + np.square(y[:, None] - qy)
     pick = np.argmin(d2, axis=1)
     rows = np.arange(len(x))
     i, j, d = wi[rows, pick], wj[rows, pick], d2[rows, pick]
@@ -384,13 +382,13 @@ def _weight_bounds(disks: DiskSet, lattice: Lattice,
 
     Why that bounds the weight.  ``reach`` is r + EPS plus 32u*B (u = 2**-53,
     B bounding every coordinate of centres, offsets and lattice points) for
-    the difference between this routine's rounding of a distance and that of
-    ``_select_cells``, whose C ``pow`` squares differ from x * x by an ulp at
-    most.  A point the exact test accepts is then within reach, and it is the
-    lattice point nearest the centre, so a corner of the 2 x 2 however the
-    floor rounds, provided 2 * reach < side (otherwise every bound is
-    infinite).  The
-    overlap the exact code picks at a lattice point is one of its entries'.
+    the difference between this routine's rounding of a distance, from the
+    affine remainder, and that of ``_select_cells``, from centre - point(i, j);
+    both square as x * x.  A point the exact test accepts is then within
+    reach, and it is the lattice point nearest the centre, so a corner of the
+    2 x 2 however the floor rounds, provided 2 * reach < side (otherwise
+    every bound is infinite).  The overlap the exact code picks at a lattice
+    point is one of its entries'.
     The overlap A(v) of a disk of radius r <= 1 + 1e-9 (``translate_to_cell``
     admits no other) grows with r, so it is at most the table's A at
     ``_TABLE_RADIUS``; moving the centre changes A at the rate of at most the

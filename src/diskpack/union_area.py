@@ -214,7 +214,7 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     arc = np.repeat(np.arange(len(gc)), cnt)
     other = j[np.repeat(lo_pair - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(arc))]
     dist2 = (mx[arc] - px[other]) ** 2 + (my[arc] - py[other]) ** 2
-    covered = np.bincount(arc[dist2 < (r - EPS) ** 2], minlength=len(gc)) > 0
+    covered = np.bincount(arc[dist2 < (r - EPS) * (r - EPS)], minlength=len(gc)) > 0
     gc, p1, p2, key = gc[~covered], p1[~covered], p2[~covered], key[~covered]
 
     def trig(f, a):

@@ -163,6 +163,14 @@ def reference_wrap_to_cell(lattice: Lattice, p: Point) -> tuple[Point, tuple[int
     j, fb = _frac(b)
     return lattice.point(fa, fb), (i, j)
 
+
+def squared_distance(p, q) -> float:
+    """Squared distance between p and q, squared as x * x like diskpack."""
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return dx * dx + dy * dy
+
+
 def _segment_distance2(px, py, ax, ay, bx, by):
     dx = bx - ax
     dy = by - ay
@@ -170,7 +178,7 @@ def _segment_distance2(px, py, ax, ay, bx, by):
     t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     qx = ax + t * dx
     qy = ay + t * dy
-    return (px - qx) ** 2 + (py - qy) ** 2, qx, qy
+    return squared_distance((px, py), (qx, qy)), qx, qy
 
 
 def _cell_closest_point(lattice: Lattice, di: int, dj: int, p: Point):
@@ -437,9 +445,8 @@ def full_sweep_max_distinct_translate_depth(copies: CellCopies,
 # The array routine must reproduce them bit for bit.
 
 def reference_covering_disks(disks: DiskSet, p: Point) -> list[int]:
-    lim = (disks.radius + EPS) ** 2
-    return [i for i, c in enumerate(disks.centers)
-            if (c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2 <= lim]
+    lim = (disks.radius + EPS) * (disks.radius + EPS)
+    return [i for i, c in enumerate(disks.centers) if squared_distance(c, p) <= lim]
 
 
 def reference_select_by_cell_overlap(disks: DiskSet, lattice, points: Sequence[LatticePoint],
@@ -667,7 +674,7 @@ def reference_exact_union_area(disks: DiskSet) -> float:
         my = pts[i, 1] + r * np.sin(mids)
         dist2 = (mx[:, None] - pts[None, :, 0]) ** 2 + (my[:, None] - pts[None, :, 1]) ** 2
         dist2[:, i] = np.inf
-        covered = (dist2 < (r - EPS) ** 2).any(axis=1)
+        covered = (dist2 < (r - EPS) * (r - EPS)).any(axis=1)
         for keep, (p1, p2) in zip(~covered, arcs):
             if keep:
                 total += _reference_arc_contribution(pts[i, 0], pts[i, 1], r, p1, p2)
@@ -731,9 +738,7 @@ def nearest(lat: Lattice, p: Point) -> tuple[int, int]:
     best = None
     for j in range(j0 - 1, j0 + 3):
         for i in range(i0 - 1, i0 + 3):
-            q = lat.point(i, j)
-            d = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-            key = (d, i, j)
+            key = (squared_distance(p, lat.point(i, j)), i, j)
             if best is None or key < best:
                 best = key
     return best[1], best[2]
@@ -751,9 +756,8 @@ def reference_kcolour_labels(disks: DiskSet, k: int) -> list[Optional[int]]:
             cells[ij] = idx
         else:
             q = lat.point(*ij)
-            d_new = (c[0] - q[0]) ** 2 + (c[1] - q[1]) ** 2
-            cc = disks.centers[cur]
-            d_cur = (cc[0] - q[0]) ** 2 + (cc[1] - q[1]) ** 2
+            d_new = squared_distance(c, q)
+            d_cur = squared_distance(disks.centers[cur], q)
             if d_new < d_cur - 1e-15:
                 cells[ij] = idx
     labels: list[Optional[int]] = [None] * len(disks)

@@ -7,7 +7,7 @@ import pytest
 from diskpack import (InputError, LoeschianColouring, Point, RegularHexagon, SplitMix64,
                       SquareLattice, THREE_COLOUR_SIDE, TriLattice,
                       loeschian_decompose)
-from conftest import REFERENCE_POSITIONED, nearest
+from conftest import REFERENCE_POSITIONED, nearest, squared_distance
 
 SQRT3 = math.sqrt(3.0)
 
@@ -218,8 +218,7 @@ class TestPositionedLattices:
             a, b = lat.affine(p[0], p[1])
             window = itertools.product(range(math.floor(a) - 2, math.floor(a) + 3),
                                        range(math.floor(b) - 2, math.floor(b) + 3))
-            best = min(((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2, i, j)
-                       for i, j in window for q in [lat.point(i, j)])
+            best = min((squared_distance(p, lat.point(i, j)), i, j) for i, j in window)
             assert nearest(lat, p) == best[1:]
 
     @pytest.mark.parametrize("method", POSITIONED)

@@ -23,14 +23,14 @@ from diskpack.selector import _candidate_offsets, _select_at, _select_cells, _we
 from conftest import (REFERENCE_POSITIONED, full_search_solve_weighted, nearest, quick_corpus,
                       reference_kcolour_labels, reference_same_colour_check,
                       reference_select_at, reference_solve_positioned,
-                      reference_solve_weighted)
+                      reference_solve_weighted, squared_distance)
 from test_acceptance import build_corpus
 
 SOLVERS = {"basic3": solve_basic_3colour, "rado1": solve_rado_1colour,
            "square2": solve_square_2colour}
 
-# (dx, dy) at distance 1 + EPS, where ``dx ** 2 + dy ** 2 <= (1 + EPS) ** 2``
-# and ``dx * dx + dy * dy <= (1 + EPS) ** 2`` disagree
+# (dx, dy) at distance 1 + EPS where ``dx * dx + dy * dy <= (1 + EPS) * (1 + EPS)``
+# and the same test squared with C ``pow`` disagree
 POW_DISAGREES = [(0.9690906679913914, -0.24670484229540174),
                  (0.4230564293148208, 0.9061033382652303),
                  (0.9879738361154418, 0.15462115363474208),
@@ -77,7 +77,7 @@ def test_boundary_distances_match_scalar_reference(method):
             assert _select_at(ds, lat) == reference_select_at(ds, lat, colour_fn)
     hits = [_select_at(DiskSet.from_pairs([p]), lattice.at(*origin))[1]
             for p in POW_DISAGREES]
-    assert hits == [0, 1, 0, 1]
+    assert hits == [1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("grid", [4, 6, 16])
@@ -203,7 +203,7 @@ def test_shift_3_3e12_meets_guarantee():
 
 
 # disk pairs in the cell of lattice point (3, 2) of the k = 7 lattice whose
-# d_new < d_cur - 1e-15 decision differs between ``** 2`` and x * x
+# d_new < d_cur - 1e-15 decision differs between x * x and C ``pow``
 POW_SCAN_DISAGREES = [
     ((5.360751057693287, 1.8980007592405825), (5.684012374033767, 2.0416265071165873)),
     ((4.965659576797259, 2.5297565415907584), (5.768332624671367, 2.5232306497847747)),
@@ -211,29 +211,9 @@ POW_SCAN_DISAGREES = [
     ((5.610291025235998, 2.759175308146296), (5.141874092926485, 2.7705659876582147))]
 
 
-def test_float_power_squares_as_python_pow():
-    # _select_cells, _nearest_cells and translate_to_cell square with
-    # np.float_power(x, 2.0) to decide as the scalar ``x ** 2`` does; both
-    # must be C pow, which x * x is not
-    coords = [c for p in POW_DISAGREES for c in p]
-    coords += [c for pair in POW_SCAN_DISAGREES for p in pair for c in p]
-    rng = np.random.default_rng(2)
-    x = np.concatenate([np.array(coords),
-                        rng.uniform(-2.0, 2.0, 50_000),
-                        rng.uniform(-1.0, 1.0, 50_000) * 10.0 ** rng.uniform(-12.0, 12.0, 50_000)])
-    got = np.float_power(x, 2.0)
-    want = np.array([v ** 2 for v in x.tolist()])
-    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert len(differ) == 0, (
-        f"np.float_power(x, 2.0) differs from x ** 2 on {len(differ)} of {len(x)} "
-        f"doubles, first x = {x[differ[0]]!r}: this NumPy does not square with C pow")
-    # the property matters because x * x rounds differently
-    assert (x * x != want).any()
-
-
 def _exact_ties(lat):
     """Points on the bisector of lattice points (1, 0) and (0, 1) whose
-    ``** 2`` distances to both are equal, nearer to them than to any other;
+    squared distances to both are equal, nearer to them than to any other;
     the (d, i, j) key gives them to (0, 1), a j-major window to (1, 0)."""
     (x1, y1), (x2, y2) = lat.point(1, 0), lat.point(0, 1)
     mx, my = (x1 + x2) / 2.0, (y1 + y2) / 2.0
@@ -241,19 +221,38 @@ def _exact_ties(lat):
     for t in np.linspace(-0.2, 0.2, 401).tolist():
         x, y = mx + t * (y2 - y1), my - t * (x2 - x1)
         for x in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
-            if (x - x1) ** 2 + (y - y1) ** 2 == (x - x2) ** 2 + (y - y2) ** 2 \
+            if squared_distance((x, y), (x1, y1)) == squared_distance((x, y), (x2, y2)) \
                     and nearest(lat, (x, y)) == (0, 1):
                 ties.append((x, y))
     assert len(ties) > 20
     return ties
 
 
+def _floor_edges(lat, i, j):
+    """Centres within 2 ulps, either side, of the edges and the short
+    diagonal of the fundamental parallelogram at lattice point (i, j), where
+    the affine floor can round across an edge, and the circumcentres of the
+    parallelogram's two triangles."""
+    o, u, v, w = (lat.point(i + a, j + b) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    on = [(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+          for a, b in ((o, u), (u, w), (w, v), (v, o), (u, v)) for t in (0.0, 0.3, 0.5, 0.9)]
+    step = [-2, -1, 0, 1, 2]
+    pts = [(x + sx * math.ulp(x), y + sy * math.ulp(y))
+           for x, y in on for sx in step for sy in step]
+    return pts + [((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
+                  for a, b, c in ((o, u, v), (u, w, v))]
+
+
 def _kcolour_ties(k):
     """Centres on Voronoi edges and vertices of the k-colour lattice, exact
     ties between two lattice points, and disks equally far from one lattice
     point, where the (d, i, j) key and the d_new < d_cur - 1e-15 rule
-    decide."""
+    decide; and centres where the affine floor rounds, at the origin's cell,
+    at the cell near (1e6, 1e6) and shifted by (1e6, 1e6)."""
     lat = TriLattice(alpha_k(k))
+    far = lat.affine(1e6, 1e6)
+    edges = _floor_edges(lat, 0, 0) + _floor_edges(lat, round(far[0]), round(far[1]))
+    edges += [(x + 1e6, y + 1e6) for x, y in edges[:len(edges) // 2]]
     p = [lat.point(i, j) for i, j in ((0, 0), (1, 0), (0, 1), (2, 1), (-1, 3))]
     mid = [((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0) for a, b in zip(p, p[1:])]
     vertex = [((p[0][0] + p[1][0] + p[2][0]) / 3.0, (p[0][1] + p[1][1] + p[2][1]) / 3.0)]
@@ -263,11 +262,12 @@ def _kcolour_ties(k):
     near = [(x + 0.3 + e, y) for e in (-2e-16, -1e-16, 0.0, 1e-16, 4e-16)]
     return [DiskSet.from_pairs(mid + vertex + p), DiskSet.from_pairs(ring),
             DiskSet.from_pairs(near + near[::-1]), DiskSet.from_pairs(p + p),
-            DiskSet.from_pairs(_exact_ties(lat))] + \
-        [DiskSet.from_pairs(pair) for pair in POW_SCAN_DISAGREES]
+            DiskSet.from_pairs(_exact_ties(lat)), DiskSet.from_pairs(edges)] + \
+        [DiskSet.from_pairs(pair) for pair in POW_SCAN_DISAGREES] + \
+        [DiskSet.from_pairs([c]) for c in edges]
 
 
-@pytest.mark.parametrize("k", [3, 4, 7])
+@pytest.mark.parametrize("k", [3, 4, 7, 12])
 def test_kcolour_labels_match_scalar_reference(k):
     for ds in build_corpus() + quick_corpus(120, 60, 77) + _kcolour_ties(k):
         assignment, report = solve_kcolour(ds, k)
