@@ -8,9 +8,8 @@ from .bounds import (BoundsTable, adaptive_simpson, alpha_k, bound_table, delta_
 from .errors import InputError, VerificationError
 from .generators import (enclosing_triangle_side, gen_chain, gen_clustered,
                          gen_depth_reduction, gen_random, gen_spirograph)
-from .geometry import (Circle, EPS, Point, RegularHexagon, boundary_disk_hex_area,
-                       circle_polygon_intersection_area, disk_hexagon_area,
-                       lens_area, min_overlap_closed_form)
+from .geometry import (Circle, EPS, Point, boundary_disk_hex_area,
+                       circle_polygon_intersection_area, lens_area, min_overlap_closed_form)
 from .lattice import (Lattice, LatticePoint, LoeschianColouring, ONE_COLOUR_SIDE,
                       SquareLattice, THREE_COLOUR_SIDE, TWO_COLOUR_SIDE,
                       TriLattice, loeschian_decompose)

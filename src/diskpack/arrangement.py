@@ -213,26 +213,26 @@ def _pair_intersections(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def _distance_blocks(pts: np.ndarray, centers: np.ndarray):
-    """Yield (base, d2, a, b) over chunks of the points ``pts``:
+    """Yield (base, d2, memb) over chunks of the points ``pts``:
     d2[t, c] = (x_t - cx_c)^2 + (y_t - cy_c)^2 in elementwise arithmetic
-    against every centre, and two bool blocks of its shape for the caller's
-    tests.  The blocks serve every chunk, as fresh blocks this large cost
+    against every centre, and a bool block of its shape for the caller's
+    test.  The blocks serve every chunk, as fresh blocks this large cost
     page faults chunk after chunk; each is valid until the next yield."""
     cx, cy = np.ascontiguousarray(centers.T)
-    # two float and two bool blocks take 18 bytes a pair; budgeting 32 leaves
-    # room for the callers' temporaries (18 raised peak RSS by 1 to 2 MB).
+    # the two float blocks and the bool block take 17 bytes a pair; a budget
+    # of 32 leaves room for the callers' temporaries (18 raised peak RSS 1-2 MB).
     # A quadtree chunk makes ~20 NumPy calls: one-row chunks made the bounds
     # 7 % slower at k = 36 855 than two-row ones
     chunk = max(2, _CHUNK_BYTES // (32 * max(len(cx), 1)))
     shape = (min(chunk, len(pts)), len(cx))
     d2, dy = np.empty(shape), np.empty(shape)
-    a, b = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    memb = np.empty(shape, dtype=bool)
     for base in range(0, len(pts), chunk):
         p = pts[base:base + chunk]
         m = len(p)
         np.square(np.subtract(p[:, :1], cx, out=d2[:m]), out=d2[:m])
         np.square(np.subtract(p[:, 1:], cy, out=dy[:m]), out=dy[:m])
-        yield base, np.add(d2[:m], dy[:m], out=d2[:m]), a[:m], b[:m]
+        yield base, np.add(d2[:m], dy[:m], out=d2[:m]), memb[:m]
 
 
 def _group_counts(memb: np.ndarray, group_starts: np.ndarray) -> np.ndarray:
@@ -248,7 +248,7 @@ def _distinct_counts(cands: np.ndarray, centers: np.ndarray, radii: np.ndarray,
     d^2 <= (r + EPS)^2."""
     lim = np.square(radii + EPS)
     counts = np.empty(len(cands), dtype=np.int64)
-    for base, d2, memb, _ in _distance_blocks(cands, centers):
+    for base, d2, memb in _distance_blocks(cands, centers):
         counts[base:base + len(d2)] = _group_counts(np.less_equal(d2, lim, out=memb), group_starts)
     return counts
 
@@ -697,7 +697,7 @@ def _near_leaves(points, leaves):
     d^2 <= reach^2."""
     lim = np.square(leaves.reach)[:, None]
     near = np.zeros(len(points), dtype=bool)
-    for base, d2, memb, _ in _distance_blocks(leaves.centres, points):
+    for base, d2, memb in _distance_blocks(leaves.centres, points):
         near |= np.less_equal(d2, lim[base:base + len(d2)], out=memb).any(axis=0)
     return np.flatnonzero(near)
 

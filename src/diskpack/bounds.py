@@ -14,12 +14,14 @@ from typing import Callable
 from .errors import InputError
 from .geometry import (Circle, Point, SQRT3, _clamp, circle_polygon_intersection_area,
                        lens_area, min_overlap_closed_form, require_finite)
-from .lattice import TWO_COLOUR_SIDE, loeschian_decompose
+from .lattice import SquareLattice, TWO_COLOUR_SIDE, loeschian_decompose
 
 # radius of the circle inscribed in a Voronoi hexagon of side 4/3
 INSCRIBED_RADIUS = 2.0 / SQRT3
 # below this center distance the unit disk lies inside the inscribed circle
 WEIGHT_BREAKPOINT = 2.0 / SQRT3 - 1.0
+# the Voronoi square of the two-colour lattice, around its lattice point
+_SQUARE_CELL = SquareLattice(TWO_COLOUR_SIDE).cell
 
 
 def weight_lower_bound(r: float) -> float:
@@ -108,10 +110,8 @@ def golden_section_min(f: Callable[[float], float], a: float, b: float,
 def square_overlap_at_angle(theta: float) -> float:
     """Area kept in a Voronoi square (side 2*sqrt(2)) by a unit disk whose
     boundary passes through the square's center, direction angle theta."""
-    h = TWO_COLOUR_SIDE / 2.0
-    square = (Point(-h, -h), Point(h, -h), Point(h, h), Point(-h, h))
     c = Point(math.cos(theta), math.sin(theta))
-    return circle_polygon_intersection_area(Circle(c, 1.0), square)
+    return circle_polygon_intersection_area(Circle(c, 1.0), _SQUARE_CELL)
 
 
 @lru_cache(maxsize=None)

@@ -100,8 +100,8 @@ def parse_result(text: str) -> tuple[Assignment, dict[str, Any]]:
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError("unsupported or malformed result file")
     try:
-        labels = tuple(None if c is None else int(c) for c in doc["labels"])
-        k = int(doc["k"])
+        labels = tuple(doc["labels"])
+        k = doc["k"]
         method = str(doc["solver"])
         lattice = None
         if doc.get("lattice") is not None:
@@ -110,6 +110,10 @@ def parse_result(text: str) -> tuple[Assignment, dict[str, Any]]:
                                   Point(float(lat["offset"][0]), float(lat["offset"][1])))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed result file: {exc}") from exc
+    # json.loads gives exactly int for a JSON integer; int() would read 1.5,
+    # "2" or true as some label, and verify would check another assignment
+    if type(k) is not int or any(type(c) is not int for c in labels if c is not None):
+        raise InputError("malformed result file: a label or k is not an integer")
     report = doc.get("report", {})
     if not isinstance(report, dict):
         raise InputError("malformed result file: report is not an object")

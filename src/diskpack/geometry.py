@@ -5,15 +5,15 @@ Conventions used throughout the package:
 * disks are closed sets: a point on the bounding circle is contained;
 * geometric predicates use an absolute tolerance ``EPS`` (plane units);
 * every squared distance that decides is x * x, correctly rounded everywhere;
-* regular hexagons have their vertices in the directions 30 + k*60 degrees
-  from the center, so the +x axis bisects an edge pair.  This matches the
-  Voronoi cells of a triangular lattice whose first basis vector lies along +x.
+* a lattice's Voronoi cell is ``Lattice.cell``, clipped against a disk by
+  ``circle_polygon_intersection_area``; the triangular lattice's regular
+  hexagon has its vertices in the directions 30 + k*60 degrees from its
+  centre, so the +x axis bisects an edge pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -258,51 +258,6 @@ def circle_polygon_intersection_area(circle: Circle, poly: Sequence[Point]) -> f
     return total
 
 
-@dataclass(frozen=True)
-class RegularHexagon:
-    """Regular hexagon; vertex directions 30 + k*60 degrees from the center."""
-
-    center: Point
-    side: float
-
-    def __post_init__(self) -> None:
-        require_finite(self.center[0], self.center[1], self.side, what="hexagon parameter")
-        if self.side <= 0.0:
-            raise InputError("hexagon side must be positive")
-
-    @property
-    def circumradius(self) -> float:
-        return self.side
-
-    @property
-    def inradius(self) -> float:
-        return self.side * SQRT3 / 2.0
-
-    def vertices(self) -> tuple[Point, ...]:
-        cx, cy = self.center
-        r = self.side
-        return tuple(
-            Point(cx + r * math.cos(math.pi / 6.0 + k * math.pi / 3.0),
-                  cy + r * math.sin(math.pi / 6.0 + k * math.pi / 3.0))
-            for k in range(6)
-        )
-
-    def contains(self, p: Point, tol: float = EPS) -> bool:
-        dx = p[0] - self.center[0]
-        dy = p[1] - self.center[1]
-        lim = self.inradius + tol
-        # edge outward normals point along k*60 degrees
-        for k in range(6):
-            if dx * math.cos(k * math.pi / 3.0) + dy * math.sin(k * math.pi / 3.0) > lim:
-                return False
-        return True
-
-
-def disk_hexagon_area(circle: Circle, hexagon: RegularHexagon) -> float:
-    """Exact area of circle ∩ hexagon via the general convex clip."""
-    return circle_polygon_intersection_area(circle, hexagon.vertices())
-
-
 # ---------------------------------------------------------------------------
 # Overlap of a hexagon of side 4/3 with a unit disk whose boundary passes
 # through the hexagon center, as a function of the direction angle theta.
@@ -322,40 +277,26 @@ def _sector(ax, ay, bx, by, cx, cy):
     return 0.5 * (math.pi + ang)
 
 
-def _f1(th: float) -> float:
-    # disk holds two hexagon vertices; region = pentagon ABCED + sector at B
-    s = math.sin(th)
-    c = math.cos(th)
-    q1 = -2.0 * SQRT3 / 3.0 + 0.5 * SQRT3 * s + 0.5 * c
-    w1 = math.sqrt(max(1.0 - q1 * q1, 0.0))
-    ax = SQRT3 / 3.0 - 0.5 * w1 * SQRT3 - 0.25 * SQRT3 * s + 0.75 * c
-    ay = 1.0 + 0.5 * w1 + 0.25 * s - 0.25 * SQRT3 * c
-    bx, by = c, s
+def _f1(ax: float, ay: float, c: float, s: float) -> float:
+    # two hexagon vertices in the disk: pentagon ABCED + sector at B = (c, s)
     q2 = 2.0 * SQRT3 / 3.0 + 0.5 * SQRT3 * s - 0.5 * c
     w2 = math.sqrt(max(1.0 - q2 * q2, 0.0))
     cx = SQRT3 / 3.0 - 0.5 * w2 * SQRT3 + 0.25 * SQRT3 * s + 0.75 * c
     cy = -1.0 - 0.5 * w2 + 0.25 * s + 0.25 * SQRT3 * c
     dx, dy = 2.0 * SQRT3 / 3.0, 2.0 / 3.0
     ex, ey = 2.0 * SQRT3 / 3.0, -2.0 / 3.0
-    poly = 0.5 * (ax * (by - dy) + bx * (cy - ay) + cx * (ey - by)
+    poly = 0.5 * (ax * (s - dy) + c * (cy - ay) + cx * (ey - s)
                   + ex * (dy - cy) + dx * (ay - ey))
-    return poly + _sector(ax, ay, bx, by, cx, cy)
+    return poly + _sector(ax, ay, c, s, cx, cy)
 
 
-def _f2(th: float) -> float:
+def _f2(ax: float, ay: float, c: float, s: float) -> float:
     # disk holds a single hexagon vertex; region = quadrilateral ABCD + sector
-    s = math.sin(th)
-    c = math.cos(th)
-    q1 = -2.0 * SQRT3 / 3.0 + 0.5 * SQRT3 * s + 0.5 * c
-    w1 = math.sqrt(max(1.0 - q1 * q1, 0.0))
-    ax = SQRT3 / 3.0 - 0.5 * w1 * SQRT3 - 0.25 * SQRT3 * s + 0.75 * c
-    ay = 1.0 + 0.5 * w1 + 0.25 * s - 0.25 * SQRT3 * c
-    bx, by = c, s
     cx = 2.0 * SQRT3 / 3.0
     cy = -math.sqrt(max(-3.0 + 12.0 * SQRT3 * c - 9.0 * c * c, 0.0)) / 3.0 + s
     dx, dy = 2.0 * SQRT3 / 3.0, 2.0 / 3.0
-    poly = 0.5 * (ax * (by - dy) + bx * (cy - ay) + cx * (dy - by) + dx * (ay - cy))
-    return poly + _sector(ax, ay, bx, by, cx, cy)
+    poly = 0.5 * (ax * (s - dy) + c * (cy - ay) + cx * (dy - s) + dx * (ay - cy))
+    return poly + _sector(ax, ay, c, s, cx, cy)
 
 
 def boundary_disk_hex_area(theta: float) -> float:
@@ -372,7 +313,14 @@ def boundary_disk_hex_area(theta: float) -> float:
     # fold onto [0, pi/6]; the two clip cases split where the second hexagon
     # vertex leaves the disk
     t = theta if theta <= math.pi / 6.0 else math.pi / 3.0 - theta
-    return _f1(t) if t < CASE_SPLIT else _f2(t)
+    s = math.sin(t)
+    c = math.cos(t)
+    # A, shared by both cases: where the circle crosses the upper right edge
+    q1 = -2.0 * SQRT3 / 3.0 + 0.5 * SQRT3 * s + 0.5 * c
+    w1 = math.sqrt(max(1.0 - q1 * q1, 0.0))
+    ax = SQRT3 / 3.0 - 0.5 * w1 * SQRT3 - 0.25 * SQRT3 * s + 0.75 * c
+    ay = 1.0 + 0.5 * w1 + 0.25 * s - 0.25 * SQRT3 * c
+    return (_f1 if t < CASE_SPLIT else _f2)(ax, ay, c, s)
 
 
 def min_overlap_closed_form() -> float:

@@ -148,7 +148,7 @@ def TriLattice(side: float, offset: Point = Point(0.0, 0.0), colours: int = 3) -
     hexagonal cells; 3 colours, or 1 when side >= 4."""
     _check(side, offset)
     rad = side / SQRT3
-    # the vertices of RegularHexagon.vertices, relative to the centre
+    # vertices in the directions 30 + k*60 degrees, circumradius side/sqrt(3)
     angles = [math.pi / 6.0 + k * math.pi / 3.0 for k in range(6)]
     cell = tuple(Point(rad * math.cos(t), rad * math.sin(t)) for t in angles)
     return Lattice("triangular", side, offset, 0.5, SQRT3, colours, cell)

@@ -529,13 +529,11 @@ def solve_weighted_3colour(disks: DiskSet,
         best = max(best, float(w.max()))
         done, step = done + step, rows
     evaluated = np.concatenate(evaluated)
-    weights = np.concatenate(weights)
-    by_index = np.argsort(evaluated)
-    ws = weights[by_index].tolist()
-    oxs = ox[evaluated[by_index]].tolist()
-    oys = oy[evaluated[by_index]].tolist()
-    pick = max(range(len(ws)), key=lambda t: (ws[t], -oxs[t], -oys[t]))
-    return _select_scaled(disks, scale, unit, base.at(oxs[pick], oys[pick]), "weighted3", 3)
+    # largest weight, then smallest ox, smallest oy and candidate index
+    pick = evaluated[np.lexsort((evaluated, oy[evaluated], ox[evaluated],
+                                 -np.concatenate(weights)))[0]]
+    return _select_scaled(disks, scale, unit, base.at(float(ox[pick]), float(oy[pick])),
+                          "weighted3", 3)
 
 
 def _check_same_colour(disks: DiskSet, labels) -> None:

@@ -83,7 +83,7 @@ class DiskSet:
         return out
 
 
-# Pairs of points come from a grid of square cells sorted by their integer
+# Pairs of points come from a grid of square cells sorted by their
 # (column, row) pair, in blocks of about _BLOCK_PAIRS directed pairs; each
 # pair holds a few hundred bytes of temporaries
 _BLOCK_PAIRS = 1 << 12
@@ -99,35 +99,30 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     A cell's side is ``reach`` widened by 2^-50 of the largest coordinate, so
     the rounding of ``x / side`` cannot put two points closer than ``reach``
     two cells apart, and cell numbers stay below 2^51 for any finite input.
-    Cost is O(n log n + pairs), whatever the bounding box.
+    So the key column + row*1j holds each cell exactly (2^51 < 2^53), and so
+    does a neighbour's key, one step away; NumPy sorts and searches complex
+    numbers by (real, imaginary), the runs' (column, row) order.  Cost is
+    O(n log n + pairs), whatever the bounding box.
     """
     n = len(x)
     if n == 0:
         return
     side = reach + max(float(np.abs(x).max()), float(np.abs(y).max())) * 2.0 ** -50
-    col = np.floor(x / side).astype(np.int64)
-    row = np.floor(y / side).astype(np.int64)
+    col = np.floor(x / side)
+    row = np.floor(y / side)
     order, starts = _sorted_runs(row, col)
     counts = np.diff(starts, append=n)
     cell_of = np.empty(n, dtype=np.intp)
     cell_of[order] = np.repeat(np.arange(len(starts)), counts)
-    # dense ranks order the cells as (column, row) does, with keys below n^2
-    col, row = col[order[starts]], row[order[starts]]
-    cols, col_rank = np.unique(col, return_inverse=True)
-    rows, row_rank = np.unique(row, return_inverse=True)
-    keys = col_rank * len(rows) + row_rank
-
-    def find(values, wanted):
-        t = np.minimum(np.searchsorted(values, wanted), len(values) - 1)
-        return t, values[t] == wanted
+    # one exact complex key per cell, ascending as the runs are
+    keys = col[order[starts]] + 1j * row[order[starts]]
 
     near_start = np.zeros((len(starts), 9), dtype=np.intp)
     near_count = np.zeros((len(starts), 9), dtype=np.intp)
     for k, (dc, dr) in enumerate(_AROUND):
-        tc, hit_c = find(cols, col + dc)
-        tr, hit_r = find(rows, row + dr)
-        cell, hit = find(keys, tc * len(rows) + tr)
-        hit &= hit_c & hit_r
+        wanted = keys + complex(dc, dr)
+        cell = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = keys[cell] == wanted
         near_start[hit, k] = starts[cell[hit]]
         near_count[hit, k] = counts[cell[hit]]
 

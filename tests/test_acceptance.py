@@ -12,8 +12,8 @@ import pytest
 
 from diskpack import (Circle, DiskSet, OffsetSampling, Point, SplitMix64,
                       THREE_COLOUR_SIDE, TriLattice, bound_table,
-                      boundary_disk_hex_area, delta_k, disk_hexagon_area,
-                      exact_union_area, gen_chain, gen_clustered, gen_random,
+                      boundary_disk_hex_area, circle_polygon_intersection_area,
+                      delta_k, exact_union_area, gen_chain, gen_clustered, gen_random,
                       gen_spirograph, kcolour_guarantee, lens_area,
                       loeschian_decompose, max_distinct_translate_depth,
                       min_overlap_closed_form, min_square_overlap,
@@ -22,7 +22,6 @@ from diskpack import (Circle, DiskSet, OffsetSampling, Point, SplitMix64,
                       solve_square_2colour, solve_weighted_3colour,
                       translate_to_cell)
 from diskpack.errors import InputError
-from diskpack.geometry import RegularHexagon
 from conftest import grid_distinct_oracle
 
 SQRT3 = math.sqrt(3.0)
@@ -134,11 +133,12 @@ def test_criterion_01_minimum_overlap_reproduction():
 
 def test_criterion_02_piecewise_formula_consistency():
     t0 = time.perf_counter()
-    hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
+    hexa = TriLattice(THREE_COLOUR_SIDE).cell
     worst = 0.0
     for k in range(1000):
         t = (math.pi / 3.0) * (k + 0.5) / 1000.0
-        oracle = disk_hexagon_area(Circle(Point(math.cos(t), math.sin(t)), 1.0), hexa)
+        oracle = circle_polygon_intersection_area(Circle(Point(math.cos(t), math.sin(t)), 1.0),
+                                                  hexa)
         worst = max(worst, abs(boundary_disk_hex_area(t) - oracle))
     h = 1e-5
     fd = abs(boundary_disk_hex_area(math.pi / 6 + h)

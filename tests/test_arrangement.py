@@ -152,13 +152,43 @@ class TestMaxDistinctTranslateDepth:
         assert (w.point, w.distinct_translates) == (ref.point, ref.distinct_translates)
 
 
+# Per lattice of ALL_LATTICES, centres in oblique directions about r - 1e-12
+# from the corner at the origin, where translate_to_cell drops the copy that
+# only touches translate (-1, -1), and about r + 1e-12 from the corner u + v,
+# where it keeps the copy that touches translate (1, 1) at a point of it.
+# Each decision turns on the last bit of the per-edge d2: squared with C pow
+# instead of x * x, each of these centres gets another number of copies.
+TANGENT_CENTRES = [
+    [(0.9941037704013141, 0.10843289939815898), (0.8584117647041037, 0.5129612482591511)],
+    [(2.510653229722525, 1.6984437426431147), (2.5778298130332895, 1.536834486607104)],
+    [(0.9910268565699885, 0.13366289520658936), (0.7138794479937874, 0.7002686154113188)],
+    [(5.128243053175937, 2.9741630213670778)],
+    [(0.6053339322313996, 0.7959716266848156), (0.9536678533559868, 0.30086147223163023)],
+    [(1.9956779617663754, 2.274776665016933), (1.9433710641014963, 2.362942678692301)],
+]
+
+
+def _ulps_around(x, y, steps=2):
+    """(x, y) and the points 1 to ``steps`` ulps from it in both coordinates,
+    either way."""
+    out = [Point(x, y)]
+    for toward in (-math.inf, math.inf):
+        px, py = x, y
+        for _ in range(steps):
+            px, py = math.nextafter(px, toward), math.nextafter(py, toward)
+            out.append(Point(px, py))
+    return out
+
+
 def _exactness_corpus():
     fold = DiskSet(1.0, (Point(-1e-300, 0.0), Point(-1e-17, 0.5), Point(0.0, -1e-300)))
     dup = gen_random(12, 5.0, 9)
+    tangent = [DiskSet(1.0, tuple(p for c in centres for p in _ulps_around(*c)))
+               for centres in TANGENT_CENTRES]
     return (quick_corpus(120, 60, 77)
             + [gen_spirograph(30, eps) for eps in (1e-9, 0.01, 0.3, 0.99)]
             + [DiskSet(1.0, dup.centers * 3), gen_chain(12, 2.0), gen_chain(9, 2.0, Point(0.1, 0.3)),
-               DiskSet(1.0, (Point(3.0, 1.7),)), fold])
+               DiskSet(1.0, (Point(3.0, 1.7),)), fold] + tangent)
 
 
 @LATTICES

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from diskpack import (Circle, InputError, Point, RegularHexagon, SplitMix64,
-                      adaptive_simpson, alpha_k, bound_table, delta_k,
-                      disk_hexagon_area, kcolour_guarantee, lens_area,
+from diskpack import (Circle, InputError, Point, SplitMix64, THREE_COLOUR_SIDE, TriLattice,
+                      adaptive_simpson, alpha_k, bound_table, circle_polygon_intersection_area,
+                      delta_k, kcolour_guarantee, lens_area,
                       min_overlap_closed_form, min_square_overlap,
                       square_overlap_at_angle, weight_lower_bound,
                       weighted_bound_constant)
@@ -52,12 +52,12 @@ class TestWeightLowerBound:
     def test_pointwise_below_true_weight(self):
         # the inscribed-circle weight never exceeds the hexagon overlap
         rng = SplitMix64(21)
+        hexa = TriLattice(THREE_COLOUR_SIDE).cell
         for _ in range(1000):
             r = rng.next_double()
             t = 2.0 * math.pi * rng.next_double()
-            hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
             c = Point(r * math.cos(t), r * math.sin(t))
-            true_weight = disk_hexagon_area(Circle(c, 1.0), hexa)
+            true_weight = circle_polygon_intersection_area(Circle(c, 1.0), hexa)
             assert weight_lower_bound(r) <= true_weight + 1e-9
 
 
@@ -108,7 +108,6 @@ class TestSquareOverlap:
 
     def test_lower_bound_over_containing_disks(self):
         # any unit disk containing the square center keeps at least the minimum
-        from diskpack.geometry import circle_polygon_intersection_area
         h = math.sqrt(2.0)
         square = (Point(-h, -h), Point(h, -h), Point(h, h), Point(-h, h))
         d2 = min_square_overlap()

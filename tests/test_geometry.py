@@ -4,13 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from diskpack import (Circle, InputError, Point, RegularHexagon, SplitMix64,
+from diskpack import (Circle, InputError, Point, SplitMix64, THREE_COLOUR_SIDE, TriLattice,
                       boundary_disk_hex_area, circle_polygon_intersection_area,
-                      disk_hexagon_area, lens_area, min_overlap_closed_form)
+                      lens_area, min_overlap_closed_form)
 from diskpack.geometry import _scan_runs, _sorted_runs
 
 SQRT3 = math.sqrt(3.0)
 DELTA = 1.6645382445539252  # value of the closed form, frozen
+# the Voronoi hexagon of side 4/3 around the origin
+HEXAGON = TriLattice(THREE_COLOUR_SIDE).cell
+
+
+def disk_hexagon_area(c: Point) -> float:
+    return circle_polygon_intersection_area(Circle(c, 1.0), HEXAGON)
 
 
 class TestLensArea:
@@ -102,10 +108,7 @@ class TestCirclePolygon:
             circle_polygon_intersection_area(Circle(Point(0, 0), 1.0), cw)
 
     def test_unit_disk_centered_in_hexagon(self):
-        hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
-        assert hexa.inradius > 1.0
-        assert disk_hexagon_area(Circle(Point(0, 0), 1.0), hexa) == \
-            pytest.approx(math.pi, abs=1e-12)
+        assert disk_hexagon_area(Point(0, 0)) == pytest.approx(math.pi, abs=1e-12)
 
     def test_circle_tangent_to_edges(self):
         # each edge's line touches the circle, and the midpoint test at the
@@ -113,32 +116,13 @@ class TestCirclePolygon:
         square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         assert circle_polygon_intersection_area(Circle(Point(0.5, 0.5), 0.5), square) == \
             pytest.approx(math.pi / 4.0, abs=1e-12)
-        hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
-        for x in (0.1547005383792515, 0.15470053837925152, hexa.inradius - 1.0):
-            assert disk_hexagon_area(Circle(Point(x, 0.0), 1.0), hexa) == \
-                pytest.approx(math.pi, abs=1e-12)
+        # the last x is the hexagon's inradius (4/3) * sqrt(3)/2 less 1
+        for x in (0.1547005383792515, 0.15470053837925152, 4.0 / 3.0 * SQRT3 / 2.0 - 1.0):
+            assert disk_hexagon_area(Point(x, 0.0)) == pytest.approx(math.pi, abs=1e-12)
 
     def test_vertex_direction_distance_one(self):
-        hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
         c = Point(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
-        assert disk_hexagon_area(Circle(c, 1.0), hexa) == \
-            pytest.approx(DELTA, abs=1e-9)
-
-
-class TestHexagon:
-    def test_invariants(self):
-        h = RegularHexagon(Point(1.0, 2.0), 4.0 / 3.0)
-        assert h.circumradius == pytest.approx(4.0 / 3.0)
-        assert h.inradius == pytest.approx(2.0 / SQRT3, abs=1e-12)
-        for v in h.vertices():
-            assert math.dist(v, h.center) == pytest.approx(4.0 / 3.0, abs=1e-12)
-        # +x axis from the center crosses an edge midpoint, not a vertex
-        assert h.contains(Point(1.0 + h.inradius - 1e-9, 2.0))
-        assert not h.contains(Point(1.0 + h.inradius + 1e-6, 2.0))
-
-    def test_rejects_bad_side(self):
-        with pytest.raises(InputError):
-            RegularHexagon(Point(0, 0), 0.0)
+        assert disk_hexagon_area(c) == pytest.approx(DELTA, abs=1e-9)
 
 
 class TestBoundaryDiskHexArea:
@@ -161,11 +145,9 @@ class TestBoundaryDiskHexArea:
                 pytest.approx(boundary_disk_hex_area(math.pi / 3.0 - t), abs=1e-12)
 
     def test_agrees_with_clipping_oracle(self):
-        hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
         for k in range(1001):
             t = (math.pi / 3.0) * k / 1000.0
-            oracle = disk_hexagon_area(
-                Circle(Point(math.cos(t), math.sin(t)), 1.0), hexa)
+            oracle = disk_hexagon_area(Point(math.cos(t), math.sin(t)))
             assert abs(boundary_disk_hex_area(t) - oracle) < 1e-9
 
     def test_never_below_minimum(self):
@@ -214,14 +196,13 @@ class TestMinOverlap:
 
     def test_sliding_to_boundary(self):
         # any unit disk containing the hexagon center keeps at least the minimum
-        hexa = RegularHexagon(Point(0.0, 0.0), 4.0 / 3.0)
         d = min_overlap_closed_form()
         rng = SplitMix64(31)
         for _ in range(1000):
             r = rng.next_double()
             t = 2.0 * math.pi * rng.next_double()
             c = Point(r * math.cos(t), r * math.sin(t))
-            assert disk_hexagon_area(Circle(c, 1.0), hexa) >= d - 1e-9
+            assert disk_hexagon_area(c) >= d - 1e-9
 
 
 def _reference_runs(keys):

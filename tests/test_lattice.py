@@ -4,12 +4,29 @@ import math
 import numpy as np
 import pytest
 
-from diskpack import (InputError, LoeschianColouring, Point, RegularHexagon, SplitMix64,
+from diskpack import (InputError, LoeschianColouring, Point, SplitMix64,
                       SquareLattice, THREE_COLOUR_SIDE, TriLattice,
                       loeschian_decompose)
 from conftest import REFERENCE_POSITIONED, nearest, squared_distance
 
 SQRT3 = math.sqrt(3.0)
+
+
+def regular_hexagon(centre, circumradius):
+    """Vertices in the directions 30 + k*60 degrees, counterclockwise."""
+    cx, cy = centre
+    return tuple(Point(cx + circumradius * math.cos(math.pi / 6.0 + k * math.pi / 3.0),
+                       cy + circumradius * math.sin(math.pi / 6.0 + k * math.pi / 3.0))
+                 for k in range(6))
+
+
+def in_hexagon(centre, side, p, tol):
+    """Whether p lies within tol of the regular hexagon of this side
+    around centre, whose edges' outward normals point along k*60 degrees."""
+    dx, dy = p[0] - centre[0], p[1] - centre[1]
+    lim = side * SQRT3 / 2.0 + tol
+    return all(dx * math.cos(k * math.pi / 3.0) + dy * math.sin(k * math.pi / 3.0) <= lim
+               for k in range(6))
 
 
 class TestTriLattice:
@@ -97,15 +114,13 @@ class TestTriLattice:
         # the regular hexagon of circumradius side/sqrt(3) around point(i, j)
         # is cell_polygon(i, j), bit for bit
         lat = TriLattice(THREE_COLOUR_SIDE)
-        h = RegularHexagon(lat.point(2, -1), lat.side / SQRT3)
-        assert h.side == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert h.inradius == pytest.approx(2.0 / SQRT3, abs=1e-12)
+        assert lat.side / SQRT3 == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert lat.side / SQRT3 * SQRT3 / 2.0 == pytest.approx(2.0 / SQRT3, abs=1e-12)
         rng = SplitMix64(41)
         for _ in range(200):
             off = lat.at(-1e6 + 2e6 * rng.next_double(), -1e6 + 2e6 * rng.next_double())
             i, j = rng.randrange(2_000_001) - 1_000_000, rng.randrange(2_000_001) - 1_000_000
-            assert RegularHexagon(off.point(i, j), lat.side / SQRT3).vertices() == \
-                off.cell_polygon(i, j)
+            assert regular_hexagon(off.point(i, j), lat.side / SQRT3) == off.cell_polygon(i, j)
 
     def test_voronoi_tiling_partition(self):
         # every sample point belongs to exactly one cell via the nearest-point
@@ -115,17 +130,16 @@ class TestTriLattice:
         for _ in range(400):
             p = Point(-8.0 + 16.0 * rng.next_double(), -8.0 + 16.0 * rng.next_double())
             i, j = nearest(lat, p)
-            hexa = RegularHexagon(lat.point(i, j), lat.side / SQRT3)
-            assert hexa.contains(p, tol=1e-9)
+            side = lat.side / SQRT3
+            assert in_hexagon(lat.point(i, j), side, p, tol=1e-9)
             # interior points (away from boundaries) lie in no other cell
-            margin = hexa.inradius - math.dist(p, hexa.center)
+            margin = side * SQRT3 / 2.0 - math.dist(p, lat.point(i, j))
             if margin > 1e-6:
                 for di in (-1, 0, 1):
                     for dj in (-1, 0, 1):
                         if (di, dj) != (0, 0):
-                            other = RegularHexagon(lat.point(i + di, j + dj),
-                                                   lat.side / SQRT3)
-                            assert not other.contains(p, tol=-1e-9)
+                            assert not in_hexagon(lat.point(i + di, j + dj), side, p,
+                                                  tol=-1e-9)
 
 
 class TestSquareLattice:

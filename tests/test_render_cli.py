@@ -208,6 +208,24 @@ class TestCli:
         assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("labels", v) for v in (1.5, 2.0, "2", True, [1])]
+                             + [("k", v) for v in (3.9, 3.0, "3", True, None)])
+    def test_verify_label_or_k_not_an_integer_exit_2(self, tmp_path: Path, capsys, key, value):
+        # labels and k must be JSON integers, so that verify checks the
+        # file's own assignment and not a rounding of it
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        main(["solve", "-i", str(inst), "-o", str(res)])
+        doc = json.loads(res.read_text())
+        if key == "labels":
+            doc["labels"][0] = value
+        else:
+            doc["k"] = value
+        res.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
     def test_parse_result_keeps_valid_report(self):
         ds = gen_random(9, 6.0, 3)
         assignment, report = solve_basic_3colour(ds)

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from diskpack import (Assignment, Circle, DiskSet, InputError, OffsetSampling,
-                      Point, RegularHexagon, SplitMix64, THREE_COLOUR_SIDE, TriLattice,
-                      VerificationError, bound_table, disk_hexagon_area,
+                      Point, SplitMix64, THREE_COLOUR_SIDE, TriLattice,
+                      VerificationError, bound_table, circle_polygon_intersection_area,
                       gen_chain, gen_clustered, gen_random, gen_spirograph,
                       kcolour_guarantee, min_overlap_closed_form,
                       solve_basic_3colour, solve_kcolour, solve_rado_1colour,
@@ -140,12 +140,13 @@ class TestTightConfiguration:
         # disks at distance 1 from their cell centers toward the shared
         # cell corner realize the minimum per-cell contribution
         lat = TriLattice(THREE_COLOUR_SIDE)
-        pts = [lat.point(0, 0), lat.point(1, 0), lat.point(0, 1)]
+        ijs = [(0, 0), (1, 0), (0, 1)]
+        pts = [lat.point(i, j) for i, j in ijs]
         g = Point(sum(p[0] for p in pts) / 3.0, sum(p[1] for p in pts) / 3.0)
-        for p in pts:
+        for (i, j), p in zip(ijs, pts):
             d = math.dist(p, g)
             c = Point(p[0] + (g[0] - p[0]) / d, p[1] + (g[1] - p[1]) / d)
-            overlap = disk_hexagon_area(Circle(c, 1.0), RegularHexagon(p, lat.side / SQRT3))
+            overlap = circle_polygon_intersection_area(Circle(c, 1.0), lat.cell_polygon(i, j))
             assert overlap == pytest.approx(DELTA, abs=1e-6)
 
 
