@@ -28,7 +28,9 @@ def _fmt(x: float) -> str:
 
 
 def serialize_instance(disks: DiskSet) -> str:
-    centers = ",\n    ".join(f"[{_fmt(p[0])}, {_fmt(p[1])}]" for p in disks.centers)
+    # "%.17g" is format(x, ".17g"), and DiskSet holds finite centres only
+    centers = ",\n    ".join(["[%.17g, %.17g]"] * len(disks)) % tuple(
+        disks.centers_array().ravel().tolist())
     body = f"[\n    {centers}\n  ]" if disks.centers else "[]"
     return ("{\n"
             f'  "schema_version": {SCHEMA_VERSION},\n'

@@ -177,6 +177,8 @@ def loeschian_decompose(k: int) -> tuple[int, int] | None:
     """Smallest (a, b) with a^2 + a*b + b^2 == k, or None if k is not Loeschian."""
     if not isinstance(k, int) or k <= 0:
         raise InputError("k must be a positive integer")
+    if k >= 2 ** 31:
+        raise InputError(f"k={k} is too large for a sqrt(k)-step search; k must be below 2^31")
     for a in range(math.isqrt(k) + 1):
         disc = 4 * k - 3 * a * a
         if disc < 0:

@@ -106,6 +106,10 @@ class OffsetSampling:
             raise InputError(f"grid resolution must be an integer >= 1, got {g!r}")
 
 
+# the k each solver writes; loeschian<K> writes K
+_SOLVER_K = {"basic3": 3, "weighted3": 3, "square2": 2, "rado1": 1}
+
+
 def _method_guarantee(method: str, k: int) -> float:
     table = bound_table()
     if method == "basic3" or method == "weighted3":
@@ -570,12 +574,18 @@ def _check_same_colour(disks: DiskSet, labels) -> None:
 
 
 def verify(disks: DiskSet, assignment: Assignment) -> CoverageReport:
-    """Recompute areas and check validity; raises on same-colour overlap."""
+    """Check the assignment and report its coverage; raises on a k its
+    solver does not write, a colour outside 0..k-1 or same-colour overlap.
+    The checks, A_c and the ratio are recomputed on every call; A, a function
+    of the disks alone, is the one ``disks`` keeps from its first computation."""
     if len(assignment.labels) != len(disks):
         raise InputError("assignment length does not match the disk set")
+    method, k = assignment.method, assignment.k
+    if _SOLVER_K.get(method) != k and method != f"loeschian{k}":
+        raise VerificationError(f"solver {method!r} does not write k={k}")
     for c in assignment.labels:
-        if c is not None and not (0 <= c < assignment.k):
-            raise VerificationError(f"colour {c} outside 0..{assignment.k - 1}")
+        if c is not None and not (0 <= c < k):
+            raise VerificationError(f"colour {c} outside 0..{k - 1}")
     _check_same_colour(disks, assignment.labels)
     return CoverageReport(*_areas(disks, assignment),
                           _method_guarantee(assignment.method, assignment.k),

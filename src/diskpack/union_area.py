@@ -64,6 +64,10 @@ class DiskSet:
         """The centres as a read-only (n, 2) array, built once per set."""
         return self._centers_array
 
+    @functools.cached_property
+    def _union_area(self) -> float:
+        return _exact_union_area(self)
+
     def bbox(self, pad: float = 0.0) -> tuple[float, float, float, float]:
         if not self.centers:
             return (0.0, 0.0, 0.0, 0.0)
@@ -227,7 +231,12 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
 
 
 def exact_union_area(disks: DiskSet) -> float:
-    """Exact area of the union; empty input gives 0 by convention."""
+    """Exact area of the union, computed once per set and kept with it;
+    empty input gives 0 by convention."""
+    return disks._union_area
+
+
+def _exact_union_area(disks: DiskSet) -> float:
     if len(disks) == 0:
         return 0.0
     r = disks.radius

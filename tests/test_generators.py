@@ -164,6 +164,17 @@ class TestFiles:
         ds = DiskSet(1.0, (Point(0.1, 1.0 / 3.0), Point(1e-17 + 2.0, -12345.678901234567)))
         assert parse_instance(serialize_instance(ds)) == ds
 
+    def test_centres_written_as_format_17g(self):
+        awkward = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0, -7.0,
+                   1e12 + 0.1, -1e12 + 1.0 / 3.0, 3.3e12 + 0.5, 1e16]
+        ds = DiskSet(1.0, tuple(Point(x, y) for x in awkward for y in awkward[::-1]))
+        rows = ",\n    ".join(f"[{format(x, '.17g')}, {format(y, '.17g')}]"
+                              for x, y in ds.centers)
+        assert serialize_instance(ds) == ('{\n  "schema_version": 1,\n  "radius": 1,\n'
+                                          f'  "centers": [\n    {rows}\n  ]\n}}\n')
+        assert parse_instance(serialize_instance(ds)) == ds
+        assert serialize_instance(DiskSet(2.5, ())).endswith('"centers": []\n}\n')
+
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             parse_instance("not json")

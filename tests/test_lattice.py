@@ -275,6 +275,14 @@ class TestLoeschian:
         with pytest.raises(InputError):
             loeschian_decompose(-3)
 
+    def test_rejects_k_from_2_to_the_31(self):
+        # 2^31 - 1 is a prime of the form 3m + 1, so Loeschian
+        a, b = loeschian_decompose(2 ** 31 - 1)
+        assert a * a + a * b + b * b == 2 ** 31 - 1
+        for k in (2 ** 31, 2 * 10 ** 12, int("9" * 31)):
+            with pytest.raises(InputError, match="below 2\\^31"):
+                loeschian_decompose(k)
+
     @pytest.mark.parametrize("k", [1, 3, 4, 7, 9, 12, 13])
     def test_colouring_properties(self, k):
         col = LoeschianColouring(k)

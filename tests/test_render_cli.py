@@ -226,6 +226,22 @@ class TestCli:
         assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
         assert "is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver,k,code", [("basic3", 7, 3), ("foo", 3, 3),
+                                               ("loeschian" + "1" * 31, int("1" * 31), 2)],
+                             ids=["basic3-k7", "unknown-solver", "k-31-digits"])
+    def test_verify_k_its_solver_does_not_write(self, tmp_path: Path, capsys, solver, k, code):
+        # a k the solver does not write exits 3; a k too large for the
+        # Loeschian search exits 2 instead of searching for years
+        inst = tmp_path / "inst.json"
+        res = tmp_path / "res.json"
+        main(["generate", "random", "-n", "5", "--box", "5", "-o", str(inst)])
+        main(["solve", "-i", str(inst), "-o", str(res)])
+        doc = json.loads(res.read_text())
+        doc["solver"], doc["k"] = solver, k
+        res.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(inst), "-r", str(res)]) == code
+        assert ("does not write" if code == 3 else "below 2^31") in capsys.readouterr().err
+
     def test_parse_result_keeps_valid_report(self):
         ds = gen_random(9, 6.0, 3)
         assignment, report = solve_basic_3colour(ds)

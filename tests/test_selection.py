@@ -284,8 +284,10 @@ def _check_outcome(check, ds, labels):
 
 
 def _verify_check(ds, labels):
-    verify(ds, Assignment(tuple(labels), max([1] + [c + 1 for c in labels if c is not None]),
-                          "basic3", None))
+    # verify accepts only the k a solver writes: basic3's 3, or loeschian7's
+    # 7 for labellings with up to 7 colours
+    method, k = ("basic3", 3) if all(c is None or c < 3 for c in labels) else ("loeschian7", 7)
+    verify(ds, Assignment(tuple(labels), k, method, None))
 
 
 def test_same_colour_check_matches_scalar_reference():

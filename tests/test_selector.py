@@ -6,7 +6,7 @@ import pytest
 from diskpack import (Assignment, Circle, DiskSet, InputError, OffsetSampling,
                       Point, SplitMix64, THREE_COLOUR_SIDE, TriLattice,
                       VerificationError, bound_table, circle_polygon_intersection_area,
-                      gen_chain, gen_clustered, gen_random, gen_spirograph,
+                      exact_union_area, gen_chain, gen_clustered, gen_random, gen_spirograph,
                       kcolour_guarantee, min_overlap_closed_form,
                       solve_basic_3colour, solve_kcolour, solve_rado_1colour,
                       solve_square_2colour, solve_weighted_3colour, verify)
@@ -259,6 +259,28 @@ class TestVerify:
         bad = Assignment((0, 0), 3, "basic3", None)
         with pytest.raises(VerificationError, match="disks 0 and 1"):
             verify(ds, bad)
+
+    @pytest.mark.parametrize("method,k", [("basic3", 7), ("weighted3", 2), ("square2", 3),
+                                          ("rado1", 3), ("loeschian7", 4), ("loeschian07", 7),
+                                          ("foo", 30)])
+    def test_rejects_k_its_solver_does_not_write(self, method, k):
+        ds = gen_random(30, 7.0, 2)
+        with pytest.raises(VerificationError, match="does not write"):
+            verify(ds, Assignment((None,) * 30, k, method, None))
+
+    def test_edited_assignment_gets_its_own_selected_area(self):
+        # the instance's area is shared with the solve, the selection's is not
+        ds = gen_random(25, 8.0, 4)
+        assignment, report = solve_basic_3colour(ds)
+        labels = list(assignment.labels)
+        labels[assignment.selected_indices()[0]] = None
+        edited = Assignment(tuple(labels), 3, "basic3", assignment.lattice)
+        fresh = verify(ds, edited)
+        kept = DiskSet(ds.radius, tuple(ds.centers[i] for i in edited.selected_indices()))
+        equal = DiskSet.from_pairs(ds.centers)
+        assert fresh.union_area == report.union_area == exact_union_area(equal)
+        assert fresh.selected_union_area == exact_union_area(kept) < report.selected_union_area
+        assert fresh.ratio == fresh.selected_union_area / fresh.union_area
 
     def test_rejects_wrong_length(self):
         ds = DiskSet.from_pairs([(0.0, 0.0), (4.0, 0.0)])

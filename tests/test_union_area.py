@@ -7,6 +7,7 @@ import pytest
 from diskpack import (DiskSet, InputError, Point, SplitMix64, exact_union_area,
                       gen_chain, gen_clustered, gen_random, gen_spirograph,
                       lens_area, monte_carlo_union_area, scaled_union_area)
+from diskpack import union_area
 from diskpack.union_area import _near_pairs
 from conftest import (quick_corpus, reference_exact_union_area,
                       reference_monte_carlo_union_area)
@@ -67,6 +68,8 @@ class TestDiskSet:
     @pytest.mark.parametrize("n", [0, 1, 40])
     def test_subset_equals_fresh_set(self, n):
         ds = gen_random(n, 9.0, 4) if n else DiskSet(2.5, ())
+        # the set's own area is kept, and no subset may take it
+        exact_union_area(ds)
         for idx in ([], list(range(n))[::3], list(range(n))[::-2], [0, 0] if n else []):
             sub = ds.subset(idx)
             fresh = DiskSet(ds.radius, tuple(ds.centers[i] for i in idx))
@@ -77,6 +80,40 @@ class TestDiskSet:
             inner = list(range(len(idx)))[1::2]
             assert sub.subset(inner) == DiskSet(ds.radius, tuple(fresh.centers[i] for i in inner))
             assert exact_union_area(sub) == exact_union_area(fresh)
+
+
+def _memo_instances():
+    base = gen_random(40, 9.0, 5)
+    cluster = gen_random(200, 1.4 * math.sqrt(200) + 2, 42)
+    return (quick_corpus()
+            + [_shifted(base, s, -s) for s in (1e6, 1e9, 1e12, 3.3e12)]
+            + [DiskSet(1.0, cluster.centers + _shifted(cluster, 1e12, 1e12).centers),
+               DiskSet(0.37, base.centers), DiskSet(1.0, base.centers * 3)])
+
+
+class TestAreaMemo:
+    def test_computed_once_and_equal_to_a_fresh_set(self, monkeypatch):
+        calls = []
+        compute = union_area._exact_union_area
+
+        def counted(disks):
+            calls.append(disks)
+            return compute(disks)
+
+        monkeypatch.setattr(union_area, "_exact_union_area", counted)
+        instances = _memo_instances()
+        for ds in instances:
+            first = exact_union_area(ds)
+            again = exact_union_area(ds)
+            fresh = exact_union_area(DiskSet(ds.radius, ds.centers))
+            assert first.hex() == again.hex() == fresh.hex()
+        # once for each set and once for its fresh copy
+        assert len(calls) == 2 * len(instances)
+
+    def test_scaled_set_has_its_own_area(self):
+        ds = gen_random(40, 9.0, 5)
+        whole = exact_union_area(ds)
+        assert scaled_union_area(ds, 0.5) == exact_union_area(DiskSet(0.5, ds.centers)) < whole
 
 
 class TestExactUnionArea:
