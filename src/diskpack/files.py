@@ -31,7 +31,7 @@ def serialize_instance(disks: DiskSet) -> str:
     # "%.17g" is format(x, ".17g"), and DiskSet holds finite centres only
     centers = ",\n    ".join(["[%.17g, %.17g]"] * len(disks)) % tuple(
         disks.centers_array().ravel().tolist())
-    body = f"[\n    {centers}\n  ]" if disks.centers else "[]"
+    body = f"[\n    {centers}\n  ]" if len(disks) else "[]"
     return ("{\n"
             f'  "schema_version": {SCHEMA_VERSION},\n'
             f'  "radius": {_fmt(disks.radius)},\n'
@@ -42,18 +42,16 @@ def serialize_instance(disks: DiskSet) -> str:
 def parse_instance(text: str) -> DiskSet:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"instance file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("instance file must hold a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema_version {doc.get('schema_version')!r}")
     try:
-        radius = float(doc["radius"])
-        centers = tuple(Point(float(x), float(y)) for x, y in doc["centers"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return DiskSet(doc["radius"], doc["centers"])
+    except (KeyError, InputError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc
-    return DiskSet(radius, centers)
 
 
 def instance_sha256(disks: DiskSet) -> str:
@@ -97,7 +95,7 @@ def _reject_unknown(obj: Any) -> Any:
 def parse_result(text: str) -> tuple[Assignment, dict[str, Any]]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"result file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError("unsupported or malformed result file")

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import InputError
-from .geometry import Point, SQRT3, require_finite
-from .prng import SplitMix64
+from .geometry import Point, SQRT3
+from .prng import double_block
 from .union_area import DiskSet
+
+
+def _uniform(seed: int, start: int, count: int, lo: float, hi: float) -> np.ndarray:
+    """Draws start + 1 .. start + count of ``SplitMix64(seed).uniform(lo, hi)``,
+    bit for bit: the same lo + (hi - lo) * u, one rounding per operation."""
+    return lo + (hi - lo) * double_block(seed, start, count)
 
 
 def gen_spirograph(n: int, epsilon: float, seed: int = 0) -> DiskSet:
@@ -19,25 +27,20 @@ def gen_spirograph(n: int, epsilon: float, seed: int = 0) -> DiskSet:
     """
     if n < 3:
         raise InputError("spirograph needs n >= 3")
-    require_finite(epsilon, what="epsilon")
     if not 0.0 < epsilon < 1.0:
         raise InputError("epsilon must lie in (0, 1)")
     r = 1.0 - epsilon
-    return DiskSet(1.0, tuple(
-        Point(r * math.cos(2.0 * math.pi * k / n), r * math.sin(2.0 * math.pi * k / n))
-        for k in range(n)))
+    angles = [2.0 * math.pi * k / n for k in range(n)]
+    return DiskSet(1.0, [(r * math.cos(t), r * math.sin(t)) for t in angles])
 
 
 def gen_random(n: int, box_side: float, seed: int) -> DiskSet:
     """n unit disks with centers uniform in [0, box_side]^2."""
     if n < 1:
         raise InputError("need n >= 1")
-    require_finite(box_side, what="box side")
-    if box_side <= 0.0:
-        raise InputError("box side must be positive")
-    rng = SplitMix64(seed)
-    return DiskSet(1.0, tuple(
-        Point(rng.uniform(0.0, box_side), rng.uniform(0.0, box_side)) for _ in range(n)))
+    if not 0.0 < box_side < math.inf:
+        raise InputError("box side must be positive and finite")
+    return DiskSet(1.0, _uniform(seed, 0, 2 * n, 0.0, box_side).reshape(n, 2))
 
 
 def gen_clustered(n: int, clusters: int, box_side: float, spread: float,
@@ -45,27 +48,19 @@ def gen_clustered(n: int, clusters: int, box_side: float, spread: float,
     """n unit disks scattered uniformly around ``clusters`` random cluster centers."""
     if n < 1 or clusters < 1:
         raise InputError("need n >= 1 and clusters >= 1")
-    require_finite(box_side, spread, what="cluster parameter")
-    if box_side <= 0.0 or spread < 0.0:
-        raise InputError("box side must be positive and spread non-negative")
-    rng = SplitMix64(seed)
-    hubs = [Point(rng.uniform(0.0, box_side), rng.uniform(0.0, box_side))
-            for _ in range(clusters)]
-    centers = []
-    for k in range(n):
-        hub = hubs[k % clusters]
-        centers.append(Point(hub[0] + rng.uniform(-spread, spread),
-                             hub[1] + rng.uniform(-spread, spread)))
-    return DiskSet(1.0, tuple(centers))
+    if not (0.0 < box_side < math.inf and 0.0 <= spread < math.inf):
+        raise InputError("box side must be positive and spread non-negative, both finite")
+    hubs = _uniform(seed, 0, 2 * clusters, 0.0, box_side).reshape(clusters, 2)
+    offsets = _uniform(seed, 2 * clusters, 2 * n, -spread, spread).reshape(n, 2)
+    return DiskSet(1.0, hubs[np.arange(n) % clusters] + offsets)
 
 
 def gen_chain(n: int, spacing: float, start: Point = Point(0.0, 0.0)) -> DiskSet:
     """n unit disks in a row, consecutive centers ``spacing`` apart."""
     if n < 1:
         raise InputError("need n >= 1")
-    require_finite(spacing, what="spacing")
-    if spacing <= 0.0:
-        raise InputError("spacing must be positive")
+    if not 0.0 < spacing < math.inf:
+        raise InputError("spacing must be positive and finite")
     return DiskSet(1.0, tuple(Point(start[0] + k * spacing, start[1]) for k in range(n)))
 
 
@@ -85,5 +80,5 @@ def gen_depth_reduction(disks: DiskSet) -> DiskSet:
     points in k of the shifted disks.
     """
     side = enclosing_triangle_side(disks)
-    return DiskSet(disks.radius, tuple(
-        Point(c[0] + i * side, c[1]) for i, c in enumerate(disks.centers)))
+    x, y = disks.centers_array().T
+    return DiskSet(disks.radius, np.column_stack([x + np.arange(len(x)) * side, y]))

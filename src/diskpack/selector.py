@@ -220,7 +220,7 @@ def _unit_scale(disks: DiskSet) -> tuple[float, DiskSet]:
     r = disks.radius
     if abs(r - 1.0) <= 1e-9:
         return 1.0, disks
-    return r, DiskSet.from_pairs((disks.centers_array() / r).tolist())
+    return r, DiskSet(1.0, disks.centers_array() / r)
 
 
 def _select_scaled(disks: DiskSet, scale: float, unit: DiskSet, lattice: Lattice,
@@ -564,8 +564,7 @@ def _check_same_colour(disks: DiskSet, labels) -> None:
         i, j = i[keep], j[keep]
         close = np.hypot(x[i] - x[j], y[i] - y[j]) < reach
         for a, b in zip(i[close].tolist(), j[close].tolist()):
-            p, q = disks.centers[a], disks.centers[b]
-            if math.hypot(p[0] - q[0], p[1] - q[1]) < threshold:
+            if math.hypot(x[a] - x[b], y[a] - y[b]) < threshold:
                 found.append((colour[a], a, b))
     if found:
         _, a, b = min(found)

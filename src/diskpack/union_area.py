@@ -22,46 +22,58 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+import numbers
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import EPS, Point, TWO_PI, _sorted_runs, require_finite
+from .geometry import EPS, Point, TWO_PI, _sorted_runs
 from .prng import double_block
 
 
-@dataclass(frozen=True)
 class DiskSet:
-    """Equal-radius disks given by their centers; duplicates permitted."""
+    """Equal-radius disks given by their centres, (x, y) pairs or an (n, 2)
+    array; duplicates permitted.  Immutable, so it keeps what it derives."""
 
-    radius: float
-    centers: tuple[Point, ...]
+    def __init__(self, radius: float, centers: Sequence[Sequence[float]] | np.ndarray) -> None:
+        r = _finite_floats(np.array(radius, dtype=object), "disk radius")
+        if r.ndim or not r > 0.0:
+            raise InputError("disk radius must be a positive number")
+        raw = np.array(centers, dtype=object)
+        if raw.shape[1:] != (2,) and raw.shape != (0,):
+            raise InputError("each disk center must be a pair (x, y)")
+        pts = _finite_floats(raw.reshape(-1, 2), "disk center")
+        pts.flags.writeable = False
+        self.__dict__.update(radius=float(r), _centers_array=pts)
 
-    def __post_init__(self) -> None:
-        require_finite(self.radius, what="radius")
-        if self.radius <= 0.0:
-            raise InputError("disk radius must be positive")
-        for p in self.centers:
-            require_finite(p[0], p[1], what="disk center")
-        object.__setattr__(self, "centers", tuple(Point(p[0], p[1]) for p in self.centers))
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"DiskSet is immutable: cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DiskSet) and (self.radius, self.centers) == (
+            other.radius, other.centers)
+
+    def __hash__(self) -> int:
+        return hash((self.radius, self.centers))
+
+    def __repr__(self) -> str:
+        return f"DiskSet(radius={self.radius!r}, centers={self.centers!r})"
+
+    @functools.cached_property
+    def centers(self) -> tuple[Point, ...]:
+        """The centres as Points, built on first use: a solver's subsets never need them."""
+        return tuple(map(Point._make, self._centers_array.tolist()))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]], radius: float = 1.0) -> "DiskSet":
-        return cls(radius, tuple(Point(float(x), float(y)) for x, y in pairs))
+        return cls(radius, list(pairs))
 
     def __len__(self) -> int:
-        return len(self.centers)
-
-    @functools.cached_property
-    def _centers_array(self) -> np.ndarray:
-        pts = np.array(self.centers, dtype=float).reshape(-1, 2)
-        pts.flags.writeable = False
-        return pts
+        return len(self._centers_array)
 
     def centers_array(self) -> np.ndarray:
-        """The centres as a read-only (n, 2) array, built once per set."""
+        """The centres as a read-only (n, 2) array."""
         return self._centers_array
 
     @functools.cached_property
@@ -69,22 +81,30 @@ class DiskSet:
         return _exact_union_area(self)
 
     def bbox(self, pad: float = 0.0) -> tuple[float, float, float, float]:
-        if not self.centers:
+        if not len(self):
             return (0.0, 0.0, 0.0, 0.0)
-        xs = [p[0] for p in self.centers]
-        ys = [p[1] for p in self.centers]
+        (xmin, ymin), (xmax, ymax) = self._centers_array.min(0), self._centers_array.max(0)
         m = self.radius + pad
-        return (min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m)
+        return (float(xmin) - m, float(ymin) - m, float(xmax) + m, float(ymax) + m)
 
     def subset(self, indices: Iterable[int]) -> "DiskSet":
-        """The disks at ``indices``, whose centres are validated already."""
-        idx = np.fromiter(indices, dtype=np.intp)
-        pts = self.centers_array()[idx]
-        pts.flags.writeable = False
-        out = object.__new__(DiskSet)
-        out.__dict__.update(radius=self.radius, _centers_array=pts,
-                            centers=tuple(self.centers[i] for i in idx.tolist()))
-        return out
+        """The disks at ``indices``, in that order."""
+        return DiskSet(self.radius, self._centers_array[np.fromiter(indices, dtype=np.intp)])
+
+
+def _finite_floats(raw: np.ndarray, what: str) -> np.ndarray:
+    """The object array ``raw`` as floats; raises InputError unless each entry is a finite
+    real number, checking types first, as float() and NumPy read True as 1 and "2" as 2."""
+    for t in set(map(type, raw.ravel().tolist())):
+        if not issubclass(t, numbers.Real) or issubclass(t, bool):
+            raise InputError(f"{what} is a {t.__name__}, not a real number")
+    try:
+        out = raw.astype(float)
+    except OverflowError as exc:
+        raise InputError(f"{what} out of float range: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise InputError(f"non-finite {what}")
+    return out
 
 
 # Pairs of points come from a grid of square cells sorted by their
@@ -299,9 +319,8 @@ def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimat
 
 def scaled_union_area(disks: DiskSet, r: float) -> float:
     """Union area after scaling every radius by r in [0, 1], centers fixed."""
-    require_finite(r, what="scale factor")
-    if r < 0.0 or r > 1.0:
+    if not 0.0 <= r <= 1.0:
         raise InputError("scale factor must lie in [0, 1]")
     if r == 0.0 or len(disks) == 0:
         return 0.0
-    return exact_union_area(DiskSet(disks.radius * r, disks.centers))
+    return exact_union_area(DiskSet(disks.radius * r, disks.centers_array()))

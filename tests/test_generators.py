@@ -72,6 +72,9 @@ class TestSpirograph:
             gen_spirograph(5, 0.0)
         with pytest.raises(InputError):
             gen_spirograph(5, 1.0)
+        for eps in (math.inf, math.nan):
+            with pytest.raises(InputError):
+                gen_spirograph(5, eps)
 
     def test_common_point_depth(self):
         ds = gen_spirograph(100, 0.01)
@@ -105,11 +108,42 @@ class TestRandomAndClustered:
             gen_random(0, 5.0, 1)
         with pytest.raises(InputError):
             gen_random(5, -1.0, 1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InputError):
+                gen_random(5, bad, 1)
+            with pytest.raises(InputError):
+                gen_clustered(5, 2, bad, 1.0, 1)
+            with pytest.raises(InputError):
+                gen_clustered(5, 2, 10.0, bad, 1)
 
     def test_clustered(self):
         ds = gen_clustered(30, 3, 20.0, 1.5, 4)
         assert len(ds) == 30
         assert ds == gen_clustered(30, 3, 20.0, 1.5, 4)
+
+    @pytest.mark.parametrize("box", [9.3, 270.0, 1e12])
+    @pytest.mark.parametrize("n", [1, 60, 2000])
+    def test_centres_are_the_scalar_stream_bit_for_bit(self, n, box):
+        # the generators draw from double_block; SplitMix64 is the reference
+        def bits(ds):
+            return [v.hex() for v in ds.centers_array().ravel().tolist()]
+
+        for seed in (7, 2**64 - 1):
+            rng = SplitMix64(seed)
+            want = [rng.uniform(0.0, box) for _ in range(2 * n)]
+            assert bits(gen_random(n, box, seed)) == [v.hex() for v in want]
+            for clusters in (1, 3, 20):
+                for spread in (0.0, 2.0, 3.5):
+                    rng = SplitMix64(seed)
+                    hubs = [(rng.uniform(0.0, box), rng.uniform(0.0, box))
+                            for _ in range(clusters)]
+                    want = []
+                    for k in range(n):
+                        hx, hy = hubs[k % clusters]
+                        want += [hx + rng.uniform(-spread, spread),
+                                 hy + rng.uniform(-spread, spread)]
+                    assert bits(gen_clustered(n, clusters, box, spread, seed)) == \
+                        [v.hex() for v in want]
 
 
 class TestChain:
@@ -122,6 +156,9 @@ class TestChain:
             gen_chain(0, 1.0)
         with pytest.raises(InputError):
             gen_chain(3, 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InputError):
+                gen_chain(3, bad)
 
 
 class TestDepthReduction:

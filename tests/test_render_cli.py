@@ -283,6 +283,28 @@ class TestCli:
         assert main(["area", "-i", str(inst)]) == 2
         assert "malformed instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius,centers", [("true", "[[0, 0]]"), ('"2"', "[[0, 0]]"),
+                                                ("1", '[["0", true]]'), ("1", "[[0.5, true]]")],
+                             ids=["radius-true", "radius-str", "str-and-bool", "bool"])
+    def test_instance_value_not_a_number_exit_2(self, tmp_path: Path, capsys, radius, centers):
+        # float() reads true as 1 and "2" as 2; a JSON number is required
+        inst = tmp_path / "inst.json"
+        inst.write_text(f'{{"schema_version": 1, "radius": {radius}, "centers": {centers}}}')
+        assert main(["area", "-i", str(inst)]) == 2
+        assert "malformed instance" in capsys.readouterr().err
+
+    def test_nesting_too_deep_for_json_exit_2(self, tmp_path: Path, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+        deep = "[" * 10**5 + "]" * 10**5
+        inst = tmp_path / "inst.json"
+        inst.write_text(f'{{"schema_version": 1, "radius": 1, "centers": {deep}}}')
+        assert main(["area", "-i", str(inst)]) == 2
+        res = tmp_path / "res.json"
+        res.write_text(deep)
+        main(["generate", "random", "-n", "3", "-o", str(inst)])
+        assert main(["verify", "-i", str(inst), "-r", str(res)]) == 2
+        assert capsys.readouterr().err.count("not valid JSON") == 2
+
     @pytest.mark.parametrize("field,value", [("labels", "[1e400]"), ("k", "1e400"),
                                              ("side", "9" * 401)], ids=["labels", "k", "side"])
     def test_result_number_out_of_range_exit_2(self, tmp_path: Path, capsys, field, value):

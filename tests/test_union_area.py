@@ -51,6 +51,40 @@ class TestDiskSet:
         with pytest.raises(InputError):
             DiskSet(float("inf"), (Point(0, 0),))
 
+    @pytest.mark.parametrize("radius,centers", [
+        (1.0, [(1.0, 2.0, 3.0)]), (1.0, [(1.0,)]), (1.0, [("1", 2.0)]), (True, [(0.0, 0.0)]),
+        ("2", [(0.0, 0.0)]), ([1.0], [(0.0, 0.0)]), (1.0, [(0.5, True)]),
+        (1.0, [(10**400, 0.0)]), (10**400, [(0.0, 0.0)]), (1.0, "ab"),
+        (1.0, np.zeros((2, 3))), (1.0, np.array([[True, False]]))],
+        ids=["triple", "single", "str", "radius-true", "radius-str", "radius-list",
+             "bool", "huge-int", "radius-huge-int", "str-centers", "array-n-3", "bool-array"])
+    def test_rejects_centres_that_are_not_pairs_of_numbers(self, radius, centers):
+        with pytest.raises(InputError):
+            DiskSet(radius, centers)
+
+    def test_pairs_and_arrays_make_equal_sets(self):
+        pts = np.array([[0.5, -0.0], [3.0, 1e12], [-2.0, 7.25]])
+        sets = [DiskSet(2, pts), DiskSet(2.0, pts.tolist()),
+                DiskSet(2.0, tuple(Point(x, y) for x, y in pts.tolist())),
+                DiskSet.from_pairs(map(tuple, pts), radius=np.float64(2.0))]
+        for ds in sets:
+            assert ds == sets[0] and hash(ds) == hash(sets[0])
+            assert type(ds.radius) is float
+            assert all(type(v) is float for p in ds.centers for v in p)
+            # bit for bit, -0.0 included
+            assert ds.centers_array().tobytes() == pts.tobytes()
+        assert DiskSet(1.0, np.array([[0, 0], [3, 4]])) == DiskSet.from_pairs([(0, 0), (3, 4)])
+        # the set keeps its own copy
+        pts[0, 0] = 9.0
+        assert sets[0].centers_array()[0, 0] == 0.5
+
+    def test_immutable(self):
+        # the set keeps its union area, so nothing it was built from may change
+        ds = gen_random(5, 4.0, 1)
+        for name in ("radius", "centers", "_centers_array", "_union_area"):
+            with pytest.raises(AttributeError):
+                setattr(ds, name, None)
+
     def test_duplicates_allowed(self):
         ds = DiskSet.from_pairs([(0, 0), (0, 0)])
         assert len(ds) == 2
