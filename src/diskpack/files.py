@@ -55,6 +55,11 @@ def parse_instance(text: str) -> DiskSet:
 
 
 def instance_sha256(disks: DiskSet) -> str:
+    """sha256 of the set's instance file, computed once per set and kept with it."""
+    return disks._instance_sha256
+
+
+def _instance_sha256(disks: DiskSet) -> str:
     return hashlib.sha256(serialize_instance(disks).encode()).hexdigest()
 
 

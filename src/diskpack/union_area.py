@@ -80,6 +80,11 @@ class DiskSet:
     def _union_area(self) -> float:
         return _exact_union_area(self)
 
+    @functools.cached_property
+    def _instance_sha256(self) -> str:
+        from . import files  # files reads and writes DiskSets: import on first use
+        return files._instance_sha256(self)
+
     def bbox(self, pad: float = 0.0) -> tuple[float, float, float, float]:
         if not len(self):
             return (0.0, 0.0, 0.0, 0.0)
@@ -111,22 +116,23 @@ def _finite_floats(raw: np.ndarray, what: str) -> np.ndarray:
 # (column, row) pair, in blocks of about _BLOCK_PAIRS directed pairs; each
 # pair holds a few hundred bytes of temporaries
 _BLOCK_PAIRS = 1 << 12
-_AROUND = [(dc, dr) for dc in (-1, 0, 1) for dr in (-1, 0, 1)]
 
 
 def _near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     """Blocks ``(lo, hi, i, j)`` of directed index pairs: for every i in
     [lo, hi), ascending, each j != i whose point lies in the 3 x 3 cells
-    around i's cell.  The j include every point closer to i than ``reach``
-    in both coordinates.
+    around i's cell, column by column and row by row within a column.  The
+    j include every point closer to i than ``reach`` in both coordinates.
 
     A cell's side is ``reach`` widened by 2^-50 of the largest coordinate, so
     the rounding of ``x / side`` cannot put two points closer than ``reach``
     two cells apart, and cell numbers stay below 2^51 for any finite input.
     So the key column + row*1j holds each cell exactly (2^51 < 2^53), and so
     does a neighbour's key, one step away; NumPy sorts and searches complex
-    numbers by (real, imaginary), the runs' (column, row) order.  Cost is
-    O(n log n + pairs), whatever the bounding box.
+    numbers by (real, imaginary), the runs' (column, row) order.  In that
+    order the cells (c + dc, r - 1 .. r + 1) are one range of runs, and
+    their points one range of ``order``: two searches per column find it.
+    Cost is O(n log n + pairs), whatever the bounding box.
     """
     n = len(x)
     if n == 0:
@@ -135,20 +141,18 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, reach: float):
     col = np.floor(x / side)
     row = np.floor(y / side)
     order, starts = _sorted_runs(row, col)
-    counts = np.diff(starts, append=n)
     cell_of = np.empty(n, dtype=np.intp)
-    cell_of[order] = np.repeat(np.arange(len(starts)), counts)
+    cell_of[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
     # one exact complex key per cell, ascending as the runs are
     keys = col[order[starts]] + 1j * row[order[starts]]
+    bounds = np.append(starts, n)
 
-    near_start = np.zeros((len(starts), 9), dtype=np.intp)
-    near_count = np.zeros((len(starts), 9), dtype=np.intp)
-    for k, (dc, dr) in enumerate(_AROUND):
-        wanted = keys + complex(dc, dr)
-        cell = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        hit = keys[cell] == wanted
-        near_start[hit, k] = starts[cell[hit]]
-        near_count[hit, k] = counts[cell[hit]]
+    near_start = np.empty((len(starts), 3), dtype=np.intp)
+    near_count = np.empty((len(starts), 3), dtype=np.intp)
+    for k, dc in enumerate((-1, 0, 1)):
+        first = bounds[np.searchsorted(keys, keys + complex(dc, -1))]
+        near_start[:, k] = first
+        near_count[:, k] = bounds[np.searchsorted(keys, keys + complex(dc, 1), "right")] - first
 
     per_point = near_count[cell_of].sum(axis=1)
     before = np.cumsum(per_point) - per_point
@@ -279,10 +283,18 @@ class MCEstimate(NamedTuple):
     stderr: float
 
 
+_EMPTY, _COVERED, _MIXED = 0, 1, 2
+
+
 def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimate:
     """Hit-or-miss estimate over the bounding box; deterministic given seed.
 
-    Sample k uses stream draws 2k and 2k+1 for x and y.
+    Sample k uses stream draws 2k and 2k+1 for x = xmin + w*u and
+    y = ymin + h*v, and hits when dx*dx + dy*dy <= r*r for some centre, in
+    floating point as written.  The sample's grid cell (``_mc_grid``) decides
+    that exactly when the cell is covered or empty; only samples in mixed
+    cells run the test, each against the disks that reach its grid row.
+    Chunks of 2^17 samples bound the memory.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
@@ -292,29 +304,156 @@ def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimat
     w = xmax - xmin
     h = ymax - ymin
     box = w * h
+    # coincident centres decide every sample alike
     pts = disks.centers_array()
+    order, keep = _sorted_runs(pts[:, 1], pts[:, 0])
+    cx, cy = pts[order[keep]].T
     r2 = disks.radius * disks.radius
+    chunk = min(1 << 17, samples)
+    ncol, nrow, status, near, first_row, last_row = _mc_grid(
+        cx, cy, disks.radius, (xmin, ymin, xmax, ymax), chunk)
+    cx, cy = cx[near].tolist(), cy[near].tolist()
     hits = 0
-    chunk = 1 << 17
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
         u = double_block(seed, 2 * done, 2 * m)
-        xs = xmin + w * u[0::2]
-        ys = ymin + h * u[1::2]
-        covered = np.zeros(m, dtype=bool)
-        dx = np.empty(m)
-        dy = np.empty(m)
-        for x, y in pts.tolist():
-            np.subtract(xs, x, out=dx)
-            np.subtract(ys, y, out=dy)
-            np.multiply(dx, dx, out=dx)
-            np.multiply(dy, dy, out=dy)
-            covered |= np.add(dx, dy, out=dx) <= r2
-        hits += int(covered.sum())
+        # floor(u * cells) is the sample's cell, up to the rounding that
+        # _mc_grid's margin covers; u < 1 keeps it <= cells
+        row = (u[1::2] * nrow).astype(np.int32)
+        cell = row * (ncol + 1) + (u[0::2] * ncol).astype(np.int32)
+        st = status[cell]
+        hits += int(np.count_nonzero(st == _COVERED))
+        mixed = np.flatnonzero(st == _MIXED)
+        mixed = mixed[np.argsort(row[mixed])]
+        # rows 0 .. nrow of the mixed samples start at these positions
+        at = np.searchsorted(row[mixed], np.arange(nrow + 2)).tolist()
+        xs = xmin + w * u[0::2][mixed]
+        ys = ymin + h * u[1::2][mixed]
+        hit = np.zeros(len(mixed), dtype=bool)
+        dx = np.empty(len(mixed))
+        dy = np.empty(len(mixed))
+        for x, y, lo, hi in zip(cx, cy, first_row, last_row):
+            a, b = at[lo], at[hi + 1]
+            if a == b:
+                continue
+            ddx, ddy = dx[:b - a], dy[:b - a]
+            np.subtract(xs[a:b], x, out=ddx)
+            np.subtract(ys[a:b], y, out=ddy)
+            np.multiply(ddx, ddx, out=ddx)
+            np.multiply(ddy, ddy, out=ddy)
+            hit[a:b] |= np.add(ddx, ddy, out=ddx) <= r2
+        hits += int(np.count_nonzero(hit))
         done += m
     p = hits / samples
     return MCEstimate(box * p, box * math.sqrt(max(p * (1.0 - p), 0.0) / samples))
+
+
+def _mc_grid(cx: np.ndarray, cy: np.ndarray, r: float,
+             bbox: tuple[float, float, float, float], chunk: int):
+    """The Monte Carlo grid: ``(ncol, nrow, status, near, first_row,
+    last_row)``.  Cell (a, b) holds the samples with floor(u*ncol) = a and
+    floor(v*nrow) = b, a <= ncol and b <= nrow; ``status[b*(ncol + 1) + a]``
+    is ``_COVERED`` when the exact test hits every such sample, ``_EMPTY``
+    when it misses every one, else ``_MIXED``.  The disks ``near`` reach
+    mixed cells, in rows ``first_row .. last_row`` (lists), and no other
+    disk hits a sample of a mixed cell.
+
+    Cell sides are at least sqrt(16 w h / chunk), about 16 samples of a
+    chunk per cell, and at least 2r sqrt(n / chunk), so the n disks meet
+    O(chunk + n) cells.
+
+    Margins.  u = 2^-53 and B bounds |xmin|, |xmax|, |ymin|, |ymax|.  A
+    sample of cell a lies within xmin + [a, a + 1] w/ncol widened by 5u*B:
+    floor(fl(u*ncol)) = a puts u*ncol within a factor 1 +- u of [a, a + 1],
+    and x = fl(xmin + fl(w*u)) adds u*w + u*B.  A cell edge
+    fl(xmin + fl(a*fl(w/ncol))) errs by at most 2u*w + u*B <= 5u*B, and
+    its distance to a centre, at most 3B, by another 3u*B: 13u*B in all, so
+    m = 32u*B bounds every computed distance's error.  A disk
+    therefore covers the cell when (far_x + m)^2 + (far_y + m)^2 <= r^2
+    (1 - 32u) as computed, far_x being the computed farther edge's distance,
+    and misses it when (near_x - m)^2 + (near_y - m)^2 > r^2 (1 + 32u),
+    near_x being 0 or the nearer edge's distance: each side is within a
+    factor (1 +- u)^5 of its exact value, and so is a sample's
+    dx*dx + dy*dy (one rounding per operation; r >= 2^-450 and B < 2^500
+    keep every square far from underflow and overflow).  A disk's columns
+    come from the same products, at r + 2m, so the cells they leave out lie
+    farther than r + m.  Outside those scales, or when m >= r, every cell
+    is mixed and every disk tests every sample.
+    """
+    xmin, ymin, xmax, ymax = bbox
+    w, h = xmax - xmin, ymax - ymin
+    big = max(abs(xmin), abs(ymin), abs(xmax), abs(ymax))
+    m = big * 2.0 ** -48
+    if not (2.0 ** -450 <= r and big < 2.0 ** 500 and m < r):
+        return 1, 1, np.full(4, _MIXED, dtype=np.int8), np.ones(len(cx), dtype=bool), \
+            [0] * len(cx), [1] * len(cx)
+    side = max(math.sqrt(16.0 * w * h / chunk), 2.0 * r * math.sqrt(len(cx) / chunk))
+    ncol = min(math.ceil(w / side), chunk)
+    nrow = min(math.ceil(h / side), chunk)
+    sx, sy = w / ncol, h / nrow
+    # a disk's cells: columns c0 .. c0 + nc - 1, rows r0 .. r0 + nr - 1
+    reach = r + 2.0 * m
+    c0 = np.clip(np.floor((cx - xmin - reach) * (ncol / w)), 0, ncol).astype(np.intp)
+    c1 = np.clip(np.floor((cx - xmin + reach) * (ncol / w)), 0, ncol).astype(np.intp)
+    r0 = np.clip(np.floor((cy - ymin - reach) * (nrow / h)), 0, nrow).astype(np.intp)
+    r1 = np.clip(np.floor((cy - ymin + reach) * (nrow / h)), 0, nrow).astype(np.intp)
+    nc, nr = c1 - c0 + 1, r1 - r0 + 1
+    # per (disk, column) and per (disk, row): squared far and near distances
+    far_x, near_x = _mc_sides(cx, c0, nc, xmin + np.arange(ncol + 2) * sx, m)
+    far_y, near_y = _mc_sides(cy, r0, nr, ymin + np.arange(nrow + 2) * sy, m)
+    r2 = r * r
+    inside, outside = r2 * (1.0 - 2.0 ** -48), r2 * (1.0 + 2.0 ** -48)
+
+    covered = np.zeros((nrow + 1) * (ncol + 1), dtype=bool)
+    reached = np.zeros_like(covered)
+    pairs = []  # (disk, cell) of each disk and cell within reach
+    per_disk = nc * nr
+    col_base = np.cumsum(nc) - nc
+    row_base = np.cumsum(nr) - nr
+    lo = 0
+    ends = np.cumsum(per_disk)
+    while lo < len(cx):
+        # disks lo .. hi - 1, at most chunk pairs unless one disk has more
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - per_disk[lo] + chunk, "right")))
+        cnt = per_disk[lo:hi]
+        d = np.repeat(np.arange(lo, hi), cnt)
+        t = np.arange(len(d)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        dc, dr = np.divmod(t, nc[d])[::-1]
+        cell = (r0[d] + dr) * (ncol + 1) + c0[d] + dc
+        ix, iy = col_base[d] + dc, row_base[d] + dr
+        covered[cell[far_x[ix] + far_y[iy] <= inside]] = True
+        close = near_x[ix] + near_y[iy] <= outside
+        reached[cell[close]] = True
+        pairs.append((d[close], cell[close]))
+        lo = hi
+    status = np.where(covered, _COVERED, np.where(reached, _MIXED, _EMPTY)).astype(np.int8)
+
+    d = np.concatenate([p[0] for p in pairs])
+    cell = np.concatenate([p[1] for p in pairs])
+    use = status[cell] == _MIXED
+    d, row = d[use], cell[use] // (ncol + 1)
+    # each disk's pairs run row by row, so its first and last give its rows
+    new = np.flatnonzero(np.diff(d, prepend=-1, append=len(cx)))
+    first, last = new[:-1], new[1:] - 1
+    near = np.zeros(len(cx), dtype=bool)
+    near[d[first]] = True
+    return ncol, nrow, status, near, row[first].tolist(), row[last].tolist()
+
+
+def _mc_sides(c: np.ndarray, first: np.ndarray, count: np.ndarray, edges: np.ndarray,
+              m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per (centre, cell) along one axis, centre-major: the squared distance
+    from the centre to the cell's farther edge plus m, and to the cell less
+    m (0 when within m); the cells of centre i are first[i] .. first[i] +
+    count[i] - 1, bounded by ``edges[a]`` and ``edges[a + 1]``."""
+    i = np.repeat(np.arange(len(c)), count)
+    a = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + first[i]
+    lo = edges[a] - c[i]
+    hi = edges[a + 1] - c[i]
+    far = np.maximum(np.abs(lo), np.abs(hi)) + m
+    near = np.maximum(np.maximum(lo, -hi) - m, 0.0)
+    return far * far, near * near
 
 
 def scaled_union_area(disks: DiskSet, r: float) -> float:

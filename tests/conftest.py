@@ -16,7 +16,7 @@ from diskpack import (EPS, CellCopies, Circle, DepthWitness, DiskSet, InputError
                       gen_spirograph, max_distinct_translate_depth, translate_to_cell)
 from diskpack.arrangement import (_CHUNK_BYTES, _cell_sweep_candidates, _distinct_counts,
                                   _pair_intersections)
-from diskpack.geometry import TWO_PI, require_finite
+from diskpack.geometry import TWO_PI, _sorted_runs, require_finite
 from diskpack.lattice import Lattice, LatticePoint
 from diskpack.prng import double_block
 from diskpack.selector import (_PAIR_BYTES, LatticeInfo, _empty_result, _finish, _select_at,
@@ -710,6 +710,45 @@ def reference_monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) ->
         done += m
     p = hits / samples
     return MCEstimate(box * p, box * math.sqrt(max(p * (1.0 - p), 0.0) / samples))
+
+
+def reference_near_pairs(x: np.ndarray, y: np.ndarray, reach: float, block_pairs: int):
+    """``_near_pairs`` by nine lookups per cell: the same grid, the same
+    (column, row) runs, and for each cell the cells (c + dc, r + dr) in the
+    order dc = -1, 0, 1, then dr = -1, 0, 1, each found by one search for its
+    exact complex key; blocks of about ``block_pairs`` directed pairs."""
+    n = len(x)
+    if n == 0:
+        return
+    side = reach + max(float(np.abs(x).max()), float(np.abs(y).max())) * 2.0 ** -50
+    col = np.floor(x / side)
+    row = np.floor(y / side)
+    order, starts = _sorted_runs(row, col)
+    counts = np.diff(starts, append=n)
+    cell_of = np.empty(n, dtype=np.intp)
+    cell_of[order] = np.repeat(np.arange(len(starts)), counts)
+    keys = col[order[starts]] + 1j * row[order[starts]]
+    near_start = np.zeros((len(starts), 9), dtype=np.intp)
+    near_count = np.zeros((len(starts), 9), dtype=np.intp)
+    around = [(dc, dr) for dc in (-1, 0, 1) for dr in (-1, 0, 1)]
+    for k, (dc, dr) in enumerate(around):
+        wanted = keys + complex(dc, dr)
+        cell = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = keys[cell] == wanted
+        near_start[hit, k] = starts[cell[hit]]
+        near_count[hit, k] = counts[cell[hit]]
+    per_point = near_count[cell_of].sum(axis=1)
+    before = np.cumsum(per_point) - per_point
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + block_pairs)))
+        cnt = near_count[cell_of[lo:hi]].ravel()
+        first = np.repeat(near_start[cell_of[lo:hi]].ravel() - (np.cumsum(cnt) - cnt), cnt)
+        j = order[first + np.arange(len(first))]
+        i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
+        other = j != i
+        yield lo, hi, i[other], j[other]
+        lo = hi
 
 
 def reference_same_colour_check(disks: DiskSet, labels) -> None:

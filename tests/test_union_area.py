@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -7,10 +8,10 @@ import pytest
 from diskpack import (DiskSet, InputError, Point, SplitMix64, exact_union_area,
                       gen_chain, gen_clustered, gen_random, gen_spirograph,
                       lens_area, monte_carlo_union_area, scaled_union_area)
-from diskpack import union_area
-from diskpack.union_area import _near_pairs
+from diskpack import files, union_area
+from diskpack.union_area import _COVERED, _EMPTY, _mc_grid, _near_pairs
 from conftest import (quick_corpus, reference_exact_union_area,
-                      reference_monte_carlo_union_area)
+                      reference_monte_carlo_union_area, reference_near_pairs)
 from test_acceptance import build_corpus
 
 
@@ -141,6 +142,24 @@ class TestAreaMemo:
             again = exact_union_area(ds)
             fresh = exact_union_area(DiskSet(ds.radius, ds.centers))
             assert first.hex() == again.hex() == fresh.hex()
+        # once for each set and once for its fresh copy
+        assert len(calls) == 2 * len(instances)
+
+    def test_digest_computed_once_and_equal_to_the_file_hash(self, monkeypatch):
+        calls = []
+        compute = files._instance_sha256
+
+        def counted(disks):
+            calls.append(disks)
+            return compute(disks)
+
+        monkeypatch.setattr(files, "_instance_sha256", counted)
+        instances = _memo_instances() + [DiskSet(1.0, [(-0.0, 0.0), (0.0, -0.0), (1.5, -0.0)])]
+        for ds in instances:
+            want = hashlib.sha256(files.serialize_instance(ds).encode()).hexdigest()
+            fresh = DiskSet(ds.radius, ds.centers)
+            assert files.instance_sha256(ds) == files.instance_sha256(ds) == want
+            assert fresh is not ds and files.instance_sha256(fresh) == want
         # once for each set and once for its fresh copy
         assert len(calls) == 2 * len(instances)
 
@@ -296,10 +315,83 @@ class TestArrayCodeMatchesLoop:
                 reference_exact_union_area(DiskSet(ds.radius * r, ds.centers))
 
     def test_monte_carlo_same_estimate(self):
-        for n, samples in ((1, 1000), (8, 300_000), (150, 140_000)):
-            ds = gen_random(n, 1.4 * math.sqrt(n) + 2, 31 + n)
-            assert monte_carlo_union_area(ds, samples, n) == \
-                reference_monte_carlo_union_area(ds, samples, n)
+        for seed, (ds, samples) in enumerate(_mc_cases()):
+            assert monte_carlo_union_area(ds, samples, seed) == \
+                reference_monte_carlo_union_area(ds, samples, seed)
+
+    def test_monte_carlo_cells_decide_as_the_exact_test(self):
+        # the corners of every covered or empty cell, and the points 2 ulps
+        # either side of them in x and y, as a sample there would be placed
+        for ds, samples in _mc_cases() + _mc_probe_cases():
+            xmin, ymin, xmax, ymax = ds.bbox()
+            w, h = xmax - xmin, ymax - ymin
+            pts = ds.centers_array()
+            ncol, nrow, status, *_ = _mc_grid(pts[:, 0], pts[:, 1], ds.radius,
+                                              ds.bbox(), min(samples, 1 << 17))
+            b, a = np.divmod(np.flatnonzero(status != union_area._MIXED), ncol + 1)
+            decided = status[b * (ncol + 1) + a]
+            for da in (0, 1):
+                for db in (0, 1):
+                    x0 = xmin + w * ((a + da) / ncol)
+                    y0 = ymin + h * ((b + db) / nrow)
+                    for sx in (-2, 0, 2):
+                        for sy in (-2, 0, 2):
+                            x, y = _ulps(x0, sx), _ulps(y0, sy)
+                            hit = np.zeros(len(x), dtype=bool)
+                            for cx, cy in pts.tolist():
+                                dx, dy = x - cx, y - cy
+                                hit |= dx * dx + dy * dy <= ds.radius * ds.radius
+                            assert np.array_equal(hit[decided == _COVERED],
+                                                  np.ones(np.sum(decided == _COVERED), bool))
+                            assert not hit[decided == _EMPTY].any()
+
+
+def _mc_cases():
+    base = gen_random(40, 9.0, 5)
+    cluster = gen_random(60, 1.4 * math.sqrt(60) + 2, 42)
+    return ([(gen_random(n, 1.4 * math.sqrt(n) + 2, 31 + n), samples)
+             for n, samples in ((1, 1000), (8, 300_000), (150, 140_000))]
+            + [(gen_clustered(500, 1, 12, 0.005, 9), 40_000),
+               (DiskSet(1.0, [(0.3, -0.7)] * 1000), 40_000),
+               (DiskSet(1.0, cluster.centers + _shifted(cluster, 1e12, 1e12).centers), 40_000),
+               (_shifted(base, 1e6, -1e6), 60_000), (_shifted(base, 1e12, -1e12), 60_000),
+               (DiskSet(1e-3, base.centers_array() * 1e-3), 60_000),
+               (DiskSet(1e3, base.centers_array() * 1e3), 60_000),
+               (gen_random(1, 3.0, 8), 60_000),
+               (base, 1), (base, (1 << 17) + 3)])
+
+
+def _mc_probe_cases():
+    """Disks that pass through cell corners of the Monte Carlo grid: 40
+    disks fix the bounding box, and 40 more sit at distance r, within
+    rounding, from random inner corners, in random directions."""
+    rng = SplitMix64(77)
+    out = []
+    for r, samples in ((1.0, 100_000), (0.37, 20_000), (1.0, 1000)):
+        frame = DiskSet(r, gen_random(40, 9.0, 6).centers_array() * r)
+        xmin, ymin, xmax, ymax = frame.bbox()
+        w, h = xmax - xmin, ymax - ymin
+        placeholders = np.concatenate([frame.centers_array(), np.zeros((40, 2))])
+        ncol, nrow, *_ = _mc_grid(placeholders[:, 0], placeholders[:, 1], r,
+                                  frame.bbox(), min(samples, 1 << 17))
+        probes = []
+        while len(probes) < 40:
+            x = xmin + w * (rng.randrange(ncol + 1) / ncol)
+            y = ymin + h * (rng.randrange(nrow + 1) / nrow)
+            t = 2.0 * math.pi * rng.next_double()
+            cx, cy = x + r * math.cos(t), y + r * math.sin(t)
+            if xmin + r <= cx <= xmax - r and ymin + r <= cy <= ymax - r:
+                probes.append((cx, cy))
+        ds = DiskSet(r, np.concatenate([frame.centers_array(), probes]))
+        assert ds.bbox() == frame.bbox()
+        out.append((ds, samples))
+    return out
+
+
+def _ulps(v, k):
+    for _ in range(abs(k)):
+        v = np.nextafter(v, np.inf if k > 0 else -np.inf)
+    return v
 
 
 def _close_pairs(ds):
@@ -327,6 +419,26 @@ class TestNearPairs:
             for b in range(len(pts)):
                 if a != b and abs(x[a] - x[b]) < 2.0 and abs(y[a] - y[b]) < 2.0:
                     assert (a, b) in found
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12, 1e300])
+    @pytest.mark.parametrize("reach", [2.0, 0.5])
+    @pytest.mark.parametrize("block", [union_area._BLOCK_PAIRS, 50])
+    def test_blocks_equal_nine_lookups(self, monkeypatch, scale, reach, block):
+        rng = SplitMix64(int(math.log10(scale)) + 11)
+        pts = []
+        for _ in range(3):
+            cx, cy = rng.uniform(-scale, scale), rng.uniform(-scale, scale)
+            pts += [(cx + rng.uniform(0, 9), cy + rng.uniform(0, 9)) for _ in range(60)]
+        pts += pts[::7] + pts[:3] * 4  # duplicates, some many times over
+        x = np.array([p[0] for p in pts])
+        y = np.array([p[1] for p in pts])
+        monkeypatch.setattr(union_area, "_BLOCK_PAIRS", block)
+        got = list(_near_pairs(x, y, reach))
+        want = list(reference_near_pairs(x, y, reach, block))
+        assert len(got) == len(want)
+        for g, e in zip(got, want):
+            assert g[:2] == e[:2]
+            assert np.array_equal(g[2], e[2]) and np.array_equal(g[3], e[3])
 
     def test_clusters_1e12_apart(self):
         cluster = gen_random(1000, 1.4 * math.sqrt(1000) + 2, 42)
