@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import EPS, Point, TWO_PI, _sorted_runs
-from .prng import double_block
+from .prng import _TO_DOUBLE, _mixed_blocks
 
 
 class DiskSet:
@@ -289,12 +289,12 @@ _EMPTY, _COVERED, _MIXED = 0, 1, 2
 def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimate:
     """Hit-or-miss estimate over the bounding box; deterministic given seed.
 
-    Sample k uses stream draws 2k and 2k+1 for x = xmin + w*u and
-    y = ymin + h*v, and hits when dx*dx + dy*dy <= r*r for some centre, in
-    floating point as written.  The sample's grid cell (``_mc_grid``) decides
-    that exactly when the cell is covered or empty; only samples in mixed
-    cells run the test, each against the disks that reach its grid row.
-    Chunks of 2^17 samples bound the memory.
+    Sample k uses stream draws 2k and 2k+1, as doubles p and q in [0, 1),
+    for x = xmin + w*p and y = ymin + h*q, and hits when dx*dx + dy*dy <= r*r
+    for some centre, in floating point as written.  The sample's grid cell
+    (``_mc_grid``) decides that exactly when the cell is covered or empty;
+    only samples in mixed cells run the test, each against the disks that
+    reach its grid row.  Chunks of 2^17 samples bound the memory.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
@@ -310,29 +310,38 @@ def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimat
     cx, cy = pts[order[keep]].T
     r2 = disks.radius * disks.radius
     chunk = min(1 << 17, samples)
-    ncol, nrow, status, near, first_row, last_row = _mc_grid(
+    kx, ky, status, near, first_row, last_row = _mc_grid(
         cx, cy, disks.radius, (xmin, ymin, xmax, ymax), chunk)
     cx, cy = cx[near].tolist(), cy[near].tolist()
+    # a draw z is the double (z >> 11) * 2^-53, so its top k bits are
+    # floor(that double * 2^k): the sample's column and row
+    rows = np.arange((1 << ky) + 1, dtype=np.uint64)
+    col_shift, row_shift, kx = np.uint64(64 - kx), np.uint64(64 - ky), np.uint64(kx)
+    eleven = np.uint64(11)
     hits = 0
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        u = double_block(seed, 2 * done, 2 * m)
-        # floor(u * cells) is the sample's cell, up to the rounding that
-        # _mc_grid's margin covers; u < 1 keeps it <= cells
-        row = (u[1::2] * nrow).astype(np.int32)
-        cell = row * (ncol + 1) + (u[0::2] * ncol).astype(np.int32)
-        st = status[cell]
-        hits += int(np.count_nonzero(st == _COVERED))
-        mixed = np.flatnonzero(st == _MIXED)
-        mixed = mixed[np.argsort(row[mixed])]
-        # rows 0 .. nrow of the mixed samples start at these positions
-        at = np.searchsorted(row[mixed], np.arange(nrow + 2)).tolist()
-        xs = xmin + w * u[0::2][mixed]
-        ys = ymin + h * u[1::2][mixed]
-        hit = np.zeros(len(mixed), dtype=bool)
-        dx = np.empty(len(mixed))
-        dy = np.empty(len(mixed))
+        parts = []
+        for _, z in _mixed_blocks(seed, 2 * done, 2 * m):
+            cell = z[1::2] >> row_shift
+            cell <<= kx
+            cell |= z[0::2] >> col_shift
+            st = status[cell.view(np.int64)]
+            hits += int(np.count_nonzero(st == _COVERED))
+            k = np.flatnonzero(st == _MIXED)
+            z >>= eleven
+            parts.append((cell[k], xmin + w * (z[0::2][k] * _TO_DOUBLE),
+                          ymin + h * (z[1::2][k] * _TO_DOUBLE)))
+        cell, xs, ys = map(np.concatenate, zip(*parts))
+        parts.clear()
+        by_row = np.argsort(cell)
+        # rows 0 .. 2^ky - 1 of the mixed samples start at these positions
+        at = np.searchsorted(cell[by_row] >> kx, rows).tolist()
+        xs, ys = xs[by_row], ys[by_row]
+        hit = np.zeros(len(xs), dtype=bool)
+        dx = np.empty(len(xs))
+        dy = np.empty(len(xs))
         for x, y, lo, hi in zip(cx, cy, first_row, last_row):
             a, b = at[lo], at[hi + 1]
             if a == b:
@@ -351,76 +360,77 @@ def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimat
 
 def _mc_grid(cx: np.ndarray, cy: np.ndarray, r: float,
              bbox: tuple[float, float, float, float], chunk: int):
-    """The Monte Carlo grid: ``(ncol, nrow, status, near, first_row,
-    last_row)``.  Cell (a, b) holds the samples with floor(u*ncol) = a and
-    floor(v*nrow) = b, a <= ncol and b <= nrow; ``status[b*(ncol + 1) + a]``
-    is ``_COVERED`` when the exact test hits every such sample, ``_EMPTY``
-    when it misses every one, else ``_MIXED``.  The disks ``near`` reach
-    mixed cells, in rows ``first_row .. last_row`` (lists), and no other
-    disk hits a sample of a mixed cell.
+    """The Monte Carlo grid: ``(kx, ky, status, near, first_row,
+    last_row)``.  It has 2^kx columns and 2^ky rows; cell (a, b) holds the
+    samples with floor(p * 2^kx) = a and floor(q * 2^ky) = b, and
+    ``status[b * 2^kx + a]`` is ``_COVERED`` when the exact test hits every
+    such sample, ``_EMPTY`` when it misses every one, else ``_MIXED``.  The
+    disks ``near`` reach mixed cells, in rows ``first_row .. last_row``
+    (lists), and no other disk hits a sample of a mixed cell.
 
-    Cell sides are at least sqrt(16 w h / chunk), about 16 samples of a
-    chunk per cell, and at least 2r sqrt(n / chunk), so the n disks meet
-    O(chunk + n) cells.
+    Cell sides are about sqrt(16 w h / chunk), about 16 samples of a chunk
+    per cell, and at least about 2r sqrt(n / chunk), so the n disks meet
+    O(chunk + n) cells; both within a factor sqrt(2), as the counts are
+    powers of two.
 
     Margins.  u = 2^-53 and B bounds |xmin|, |xmax|, |ymin|, |ymax|.  A
-    sample of cell a lies within xmin + [a, a + 1] w/ncol widened by 5u*B:
-    floor(fl(u*ncol)) = a puts u*ncol within a factor 1 +- u of [a, a + 1],
-    and x = fl(xmin + fl(w*u)) adds u*w + u*B.  A cell edge
-    fl(xmin + fl(a*fl(w/ncol))) errs by at most 2u*w + u*B <= 5u*B, and
-    its distance to a centre, at most 3B, by another 3u*B: 13u*B in all, so
-    m = 32u*B bounds every computed distance's error.  A disk
-    therefore covers the cell when (far_x + m)^2 + (far_y + m)^2 <= r^2
-    (1 - 32u) as computed, far_x being the computed farther edge's distance,
-    and misses it when (near_x - m)^2 + (near_y - m)^2 > r^2 (1 + 32u),
-    near_x being 0 or the nearer edge's distance: each side is within a
-    factor (1 +- u)^5 of its exact value, and so is a sample's
-    dx*dx + dy*dy (one rounding per operation; r >= 2^-450 and B < 2^500
-    keep every square far from underflow and overflow).  A disk's columns
-    come from the same products, at r + 2m, so the cells they leave out lie
-    farther than r + m.  Outside those scales, or when m >= r, every cell
-    is mixed and every disk tests every sample.
+    sample of column a has a <= p * 2^kx < a + 1 exactly, and rounding is
+    monotone, so its x = fl(xmin + fl(w * p)) lies between the column's
+    edges as computed here, fl(xmin + fl(w * a / 2^kx)) and the next.  The
+    computed distance from an edge to a centre errs by at most u times
+    itself, 3u*B, so with m = 32u*B every decision below holds for every
+    point within m - 3u*B of the cell, a few ulps of each coordinate, and
+    the disk's columns, computed at r + 2m from products that err by a few
+    u*B, hold every cell within r + m of its centre.  A disk covers the cell
+    when (far_x + m)^2 + (far_y + m)^2 <= r^2 (1 - 32u) as computed, far_x
+    being the computed farther edge's distance, and misses it when
+    (near_x - m)^2 + (near_y - m)^2 > r^2 (1 + 32u), near_x being 0 or the
+    nearer edge's distance: each side is within a factor (1 +- u)^5 of its
+    exact value, and so is a sample's dx*dx + dy*dy (one rounding per
+    operation; r >= 2^-250 and B < 2^250 keep every square far from
+    underflow and overflow).  Outside those scales, or when m >= r, every
+    cell is mixed and every disk tests every sample.
     """
     xmin, ymin, xmax, ymax = bbox
     w, h = xmax - xmin, ymax - ymin
     big = max(abs(xmin), abs(ymin), abs(xmax), abs(ymax))
     m = big * 2.0 ** -48
-    if not (2.0 ** -450 <= r and big < 2.0 ** 500 and m < r):
+    if not (2.0 ** -250 <= r and big < 2.0 ** 250 and m < r):
         return 1, 1, np.full(4, _MIXED, dtype=np.int8), np.ones(len(cx), dtype=bool), \
             [0] * len(cx), [1] * len(cx)
     side = max(math.sqrt(16.0 * w * h / chunk), 2.0 * r * math.sqrt(len(cx) / chunk))
-    ncol = min(math.ceil(w / side), chunk)
-    nrow = min(math.ceil(h / side), chunk)
-    sx, sy = w / ncol, h / nrow
+    kx, ky = (min(max(round(math.log2(extent / side)), 1), 17) for extent in (w, h))
+    ncol, nrow = 1 << kx, 1 << ky
     # a disk's cells: columns c0 .. c0 + nc - 1, rows r0 .. r0 + nr - 1
     reach = r + 2.0 * m
-    c0 = np.clip(np.floor((cx - xmin - reach) * (ncol / w)), 0, ncol).astype(np.intp)
-    c1 = np.clip(np.floor((cx - xmin + reach) * (ncol / w)), 0, ncol).astype(np.intp)
-    r0 = np.clip(np.floor((cy - ymin - reach) * (nrow / h)), 0, nrow).astype(np.intp)
-    r1 = np.clip(np.floor((cy - ymin + reach) * (nrow / h)), 0, nrow).astype(np.intp)
+    c0 = np.clip(np.floor((cx - xmin - reach) * (ncol / w)), 0, ncol - 1).astype(np.intp)
+    c1 = np.clip(np.floor((cx - xmin + reach) * (ncol / w)), 0, ncol - 1).astype(np.intp)
+    r0 = np.clip(np.floor((cy - ymin - reach) * (nrow / h)), 0, nrow - 1).astype(np.intp)
+    r1 = np.clip(np.floor((cy - ymin + reach) * (nrow / h)), 0, nrow - 1).astype(np.intp)
     nc, nr = c1 - c0 + 1, r1 - r0 + 1
     # per (disk, column) and per (disk, row): squared far and near distances
-    far_x, near_x = _mc_sides(cx, c0, nc, xmin + np.arange(ncol + 2) * sx, m)
-    far_y, near_y = _mc_sides(cy, r0, nr, ymin + np.arange(nrow + 2) * sy, m)
+    far_x, near_x = _mc_sides(cx, c0, nc, xmin + np.arange(ncol + 1) * (w / ncol), m)
+    far_y, near_y = _mc_sides(cy, r0, nr, ymin + np.arange(nrow + 1) * (h / nrow), m)
     r2 = r * r
     inside, outside = r2 * (1.0 - 2.0 ** -48), r2 * (1.0 + 2.0 ** -48)
 
-    covered = np.zeros((nrow + 1) * (ncol + 1), dtype=bool)
+    covered = np.zeros(nrow * ncol, dtype=bool)
     reached = np.zeros_like(covered)
     pairs = []  # (disk, cell) of each disk and cell within reach
     per_disk = nc * nr
     col_base = np.cumsum(nc) - nc
     row_base = np.cumsum(nr) - nr
-    lo = 0
     ends = np.cumsum(per_disk)
+    lo = 0
     while lo < len(cx):
-        # disks lo .. hi - 1, at most chunk pairs unless one disk has more
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - per_disk[lo] + chunk, "right")))
+        # disks lo .. hi - 1, at most 2^13 pairs unless one disk has more
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - per_disk[lo] + (1 << 13),
+                                             "right")))
         cnt = per_disk[lo:hi]
         d = np.repeat(np.arange(lo, hi), cnt)
         t = np.arange(len(d)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        dc, dr = np.divmod(t, nc[d])[::-1]
-        cell = (r0[d] + dr) * (ncol + 1) + c0[d] + dc
+        dr, dc = np.divmod(t, nc[d])
+        cell = ((r0[d] + dr) << kx) + c0[d] + dc
         ix, iy = col_base[d] + dc, row_base[d] + dr
         covered[cell[far_x[ix] + far_y[iy] <= inside]] = True
         close = near_x[ix] + near_y[iy] <= outside
@@ -429,16 +439,15 @@ def _mc_grid(cx: np.ndarray, cy: np.ndarray, r: float,
         lo = hi
     status = np.where(covered, _COVERED, np.where(reached, _MIXED, _EMPTY)).astype(np.int8)
 
-    d = np.concatenate([p[0] for p in pairs])
-    cell = np.concatenate([p[1] for p in pairs])
+    d, cell = (np.concatenate(p) for p in zip(*pairs))
     use = status[cell] == _MIXED
-    d, row = d[use], cell[use] // (ncol + 1)
+    d, row = d[use], cell[use] >> kx
     # each disk's pairs run row by row, so its first and last give its rows
     new = np.flatnonzero(np.diff(d, prepend=-1, append=len(cx)))
     first, last = new[:-1], new[1:] - 1
     near = np.zeros(len(cx), dtype=bool)
     near[d[first]] = True
-    return ncol, nrow, status, near, row[first].tolist(), row[last].tolist()
+    return kx, ky, status, near, row[first].tolist(), row[last].tolist()
 
 
 def _mc_sides(c: np.ndarray, first: np.ndarray, count: np.ndarray, edges: np.ndarray,

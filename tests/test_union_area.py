@@ -326,10 +326,11 @@ class TestArrayCodeMatchesLoop:
             xmin, ymin, xmax, ymax = ds.bbox()
             w, h = xmax - xmin, ymax - ymin
             pts = ds.centers_array()
-            ncol, nrow, status, *_ = _mc_grid(pts[:, 0], pts[:, 1], ds.radius,
-                                              ds.bbox(), min(samples, 1 << 17))
-            b, a = np.divmod(np.flatnonzero(status != union_area._MIXED), ncol + 1)
-            decided = status[b * (ncol + 1) + a]
+            kx, ky, status, *_ = _mc_grid(pts[:, 0], pts[:, 1], ds.radius,
+                                          ds.bbox(), min(samples, 1 << 17))
+            ncol, nrow = 1 << kx, 1 << ky
+            b, a = np.divmod(np.flatnonzero(status != union_area._MIXED), ncol)
+            decided = status[b * ncol + a]
             for da in (0, 1):
                 for db in (0, 1):
                     x0 = xmin + w * ((a + da) / ncol)
@@ -364,16 +365,19 @@ def _mc_cases():
 def _mc_probe_cases():
     """Disks that pass through cell corners of the Monte Carlo grid: 40
     disks fix the bounding box, and 40 more sit at distance r, within
-    rounding, from random inner corners, in random directions."""
+    rounding, from random inner corners, in random directions; at a shift
+    of 1e6 the rounding is many times 2 ulps of r."""
     rng = SplitMix64(77)
     out = []
-    for r, samples in ((1.0, 100_000), (0.37, 20_000), (1.0, 1000)):
-        frame = DiskSet(r, gen_random(40, 9.0, 6).centers_array() * r)
+    for r, samples, shift in ((1.0, 100_000, 0.0), (0.37, 20_000, 0.0), (1.0, 1000, 0.0),
+                              (1.0, 100_000, 1e6)):
+        frame = DiskSet(r, gen_random(40, 9.0, 6).centers_array() * r + shift)
         xmin, ymin, xmax, ymax = frame.bbox()
         w, h = xmax - xmin, ymax - ymin
         placeholders = np.concatenate([frame.centers_array(), np.zeros((40, 2))])
-        ncol, nrow, *_ = _mc_grid(placeholders[:, 0], placeholders[:, 1], r,
-                                  frame.bbox(), min(samples, 1 << 17))
+        kx, ky, *_ = _mc_grid(placeholders[:, 0], placeholders[:, 1], r,
+                              frame.bbox(), min(samples, 1 << 17))
+        ncol, nrow = 1 << kx, 1 << ky
         probes = []
         while len(probes) < 40:
             x = xmin + w * (rng.randrange(ncol + 1) / ncol)
