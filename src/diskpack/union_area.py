@@ -400,30 +400,20 @@ def _mc_grid(cx: np.ndarray, cy: np.ndarray, r: float,
             [0] * len(cx), [1] * len(cx)
     side = max(math.sqrt(16.0 * w * h / chunk), 2.0 * r * math.sqrt(len(cx) / chunk))
     kx, ky = (min(max(round(math.log2(extent / side)), 1), 17) for extent in (w, h))
-    ncol, nrow = 1 << kx, 1 << ky
-    # a disk's cells: columns c0 .. c0 + nc - 1, rows r0 .. r0 + nr - 1
-    reach = r + 2.0 * m
-    c0 = np.clip(np.floor((cx - xmin - reach) * (ncol / w)), 0, ncol - 1).astype(np.intp)
-    c1 = np.clip(np.floor((cx - xmin + reach) * (ncol / w)), 0, ncol - 1).astype(np.intp)
-    r0 = np.clip(np.floor((cy - ymin - reach) * (nrow / h)), 0, nrow - 1).astype(np.intp)
-    r1 = np.clip(np.floor((cy - ymin + reach) * (nrow / h)), 0, nrow - 1).astype(np.intp)
-    nc, nr = c1 - c0 + 1, r1 - r0 + 1
-    # per (disk, column) and per (disk, row): squared far and near distances
-    far_x, near_x = _mc_sides(cx, c0, nc, xmin + np.arange(ncol + 1) * (w / ncol), m)
-    far_y, near_y = _mc_sides(cy, r0, nr, ymin + np.arange(nrow + 1) * (h / nrow), m)
+    c0, nc, col_base, far_x, near_x = _mc_axis(cx, xmin, w, kx, r + 2.0 * m, m)
+    r0, nr, row_base, far_y, near_y = _mc_axis(cy, ymin, h, ky, r + 2.0 * m, m)
     r2 = r * r
     inside, outside = r2 * (1.0 - 2.0 ** -48), r2 * (1.0 + 2.0 ** -48)
 
-    covered = np.zeros(nrow * ncol, dtype=bool)
+    covered = np.zeros(1 << (kx + ky), dtype=bool)
     reached = np.zeros_like(covered)
     pairs = []  # (disk, cell) of each disk and cell within reach
     per_disk = nc * nr
-    col_base = np.cumsum(nc) - nc
-    row_base = np.cumsum(nr) - nr
     ends = np.cumsum(per_disk)
     lo = 0
     while lo < len(cx):
-        # disks lo .. hi - 1, at most 2^13 pairs unless one disk has more
+        # disks lo .. hi - 1: at most 2^13 pairs, which bounds the
+        # temporaries, unless one disk has more
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - per_disk[lo] + (1 << 13),
                                              "right")))
         cnt = per_disk[lo:hi]
@@ -450,19 +440,26 @@ def _mc_grid(cx: np.ndarray, cy: np.ndarray, r: float,
     return kx, ky, status, near, row[first].tolist(), row[last].tolist()
 
 
-def _mc_sides(c: np.ndarray, first: np.ndarray, count: np.ndarray, edges: np.ndarray,
-              m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per (centre, cell) along one axis, centre-major: the squared distance
-    from the centre to the cell's farther edge plus m, and to the cell less
-    m (0 when within m); the cells of centre i are first[i] .. first[i] +
-    count[i] - 1, bounded by ``edges[a]`` and ``edges[a + 1]``."""
+def _mc_axis(c: np.ndarray, lo: float, extent: float, k: int, reach: float, m: float):
+    """One axis of the Monte Carlo grid, 2^k cells over [lo, lo + extent]:
+    ``(first, count, base, far, near)``.  Centre i's cells within ``reach``
+    are first[i] .. first[i] + count[i] - 1, and far[base[i] + t] and
+    near[base[i] + t] belong to its t-th: the squared distance from the
+    centre to the cell's farther edge plus m, and to the cell less m (0 when
+    within m)."""
+    n = 1 << k
+    first, last = (np.clip(np.floor((c - lo + s) * (n / extent)), 0, n - 1).astype(np.intp)
+                   for s in (-reach, reach))
+    count = last - first + 1
+    base = np.cumsum(count) - count
     i = np.repeat(np.arange(len(c)), count)
-    a = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + first[i]
-    lo = edges[a] - c[i]
-    hi = edges[a + 1] - c[i]
-    far = np.maximum(np.abs(lo), np.abs(hi)) + m
-    near = np.maximum(np.maximum(lo, -hi) - m, 0.0)
-    return far * far, near * near
+    a = np.arange(len(i)) - base[i] + first[i]
+    edges = lo + np.arange(n + 1) * (extent / n)
+    below = edges[a] - c[i]
+    above = edges[a + 1] - c[i]
+    far = np.maximum(np.abs(below), np.abs(above)) + m
+    near = np.maximum(np.maximum(below, -above) - m, 0.0)
+    return first, count, base, far * far, near * near
 
 
 def scaled_union_area(disks: DiskSet, r: float) -> float:

@@ -9,7 +9,7 @@ from diskpack import (DiskSet, InputError, Point, SplitMix64, exact_union_area,
                       gen_chain, gen_clustered, gen_random, gen_spirograph,
                       lens_area, monte_carlo_union_area, scaled_union_area)
 from diskpack import files, union_area
-from diskpack.union_area import _COVERED, _EMPTY, _mc_grid, _near_pairs
+from diskpack.union_area import _COVERED, _MIXED, _mc_grid, _near_pairs
 from conftest import (quick_corpus, reference_exact_union_area,
                       reference_monte_carlo_union_area, reference_near_pairs)
 from test_acceptance import build_corpus
@@ -329,8 +329,9 @@ class TestArrayCodeMatchesLoop:
             kx, ky, status, *_ = _mc_grid(pts[:, 0], pts[:, 1], ds.radius,
                                           ds.bbox(), min(samples, 1 << 17))
             ncol, nrow = 1 << kx, 1 << ky
-            b, a = np.divmod(np.flatnonzero(status != union_area._MIXED), ncol)
-            decided = status[b * ncol + a]
+            decided = np.flatnonzero(status != _MIXED)
+            b, a = np.divmod(decided, ncol)
+            covered = status[decided] == _COVERED
             for da in (0, 1):
                 for db in (0, 1):
                     x0 = xmin + w * ((a + da) / ncol)
@@ -342,9 +343,7 @@ class TestArrayCodeMatchesLoop:
                             for cx, cy in pts.tolist():
                                 dx, dy = x - cx, y - cy
                                 hit |= dx * dx + dy * dy <= ds.radius * ds.radius
-                            assert np.array_equal(hit[decided == _COVERED],
-                                                  np.ones(np.sum(decided == _COVERED), bool))
-                            assert not hit[decided == _EMPTY].any()
+                            assert hit[covered].all() and not hit[~covered].any()
 
 
 def _mc_cases():
