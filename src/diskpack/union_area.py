@@ -317,7 +317,6 @@ def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimat
     # floor(that double * 2^k): the sample's column and row
     rows = np.arange((1 << ky) + 1, dtype=np.uint64)
     col_shift, row_shift, kx = np.uint64(64 - kx), np.uint64(64 - ky), np.uint64(kx)
-    eleven = np.uint64(11)
     hits = 0
     done = 0
     while done < samples:
@@ -330,7 +329,7 @@ def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimat
             st = status[cell.view(np.int64)]
             hits += int(np.count_nonzero(st == _COVERED))
             k = np.flatnonzero(st == _MIXED)
-            z >>= eleven
+            z >>= np.uint64(11)
             parts.append((cell[k], xmin + w * (z[0::2][k] * _TO_DOUBLE),
                           ymin + h * (z[1::2][k] * _TO_DOUBLE)))
         cell, xs, ys = map(np.concatenate, zip(*parts))
