@@ -51,7 +51,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import EPS, Point, _sorted_runs
 from .lattice import Lattice
-from .union_area import DiskSet
+from .union_area import DiskSet, _libm
 
 # byte budget of one row chunk of the sweep, the recount and the weighted
 # solver's offset search: it keeps peak memory below the old k x k matrices'
@@ -59,9 +59,6 @@ from .union_area import DiskSet
 _CHUNK_BYTES = 2_000_000
 # bytes of sweep temporaries alive at once per (row, event column)
 _SWEEP_BYTES_PER_EVENT = 64
-# arc midpoints within this affine distance of a cell edge are re-tested
-# with the scalar expression
-_EDGE_BAND = 1e-9
 # deepest quadtree level of the depth search's branch and bound (side 2**-30
 # of the cell, near EPS for the cells used here)
 _MAX_LEVEL = 30
@@ -392,7 +389,8 @@ def _sweep_rows(centers, radii, groups, n_groups, lattice, edges, rows):
     retry = best < 0
     if retry.any():
         best[retry] = _best_in_cell(lattice, cx, cy, ri, mids, score, retry[:, None])[retry]
-    return [_arc_point(cx, cy, ri, mids, row, t) for row, t in enumerate(best.tolist()) if t >= 0]
+    rows = np.flatnonzero(best >= 0)
+    return list(zip(*(c.tolist() for c in _arc_points(cx, cy, ri, mids, rows, best[rows]))))
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -416,31 +414,23 @@ def _mod_two_pi(x: np.ndarray) -> np.ndarray:
 
 
 def _best_in_cell(lattice, cx, cy, ri, mids, score, test):
-    """Per row, the first tested arc of largest score whose midpoint lies in
-    the half-open cell, or -1; arcs with a negative score are never taken."""
+    """Per row, the first tested arc of largest score whose midpoint, the
+    point the sweep returns, lies in the half-open cell, or -1; arcs with a
+    negative score are never taken."""
     rows, ts = np.nonzero(test & (score >= 0))
-    mid = mids[rows, ts]
-    r = ri[rows, 0]
-    a, b = lattice.affine(cx[rows] + r * np.cos(mid), cy[rows] + r * np.sin(mid))
+    a, b = lattice.affine(*_arc_points(cx, cy, ri, mids, rows, ts))
     inside = (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
-    # NumPy's cos/sin may differ from libm's by an ulp: re-test midpoints
-    # close to a cell edge with the scalar expression that emits the point
-    edge = np.minimum(np.minimum(np.abs(a), np.abs(a - 1.0)),
-                      np.minimum(np.abs(b), np.abs(b - 1.0))) <= _EDGE_BAND
-    for e in np.flatnonzero(edge).tolist():
-        px, py = _arc_point(cx, cy, ri, mids, rows[e], ts[e])
-        a_e, b_e = lattice.affine(px, py)
-        inside[e] = 0.0 <= a_e < 1.0 and 0.0 <= b_e < 1.0
     kept = np.full(score.shape, -1, dtype=score.dtype)
     kept[rows[inside], ts[inside]] = score[rows[inside], ts[inside]]
     best = kept.argmax(axis=1)
     return np.where(kept[np.arange(len(best)), best] >= 0, best, -1)
 
 
-def _arc_point(cx, cy, ri, mids, row, t):
-    mid = mids[row, t]
-    r = ri[row, 0]
-    return (cx[row] + r * math.cos(mid), cy[row] + r * math.sin(mid))
+def _arc_points(cx, cy, ri, mids, rows, ts):
+    """(x, y) arrays of the midpoints of arcs ``ts`` of circles ``rows``."""
+    mid = mids[rows, ts]
+    r = ri[rows, 0]
+    return cx[rows] + r * _libm(math.cos, mid), cy[rows] + r * _libm(math.sin, mid)
 
 
 class _Leaves(NamedTuple):

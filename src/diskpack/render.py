@@ -6,7 +6,7 @@ from typing import Optional
 
 from .geometry import Point
 from .lattice import Lattice
-from .selector import Assignment
+from .selector import Assignment, _nearest_cells
 from .union_area import DiskSet
 
 PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
@@ -23,7 +23,9 @@ def render_svg(disks: DiskSet, assignment: Optional[Assignment] = None,
                lattice: Lattice | None = None,
                show_cells: bool = False) -> str:
     """SVG document: grey unselected disks, one fill per colour, optional
-    lattice-point and Voronoi-cell layers.  Byte-identical for equal inputs."""
+    lattice-point and Voronoi-cell layers for the cells holding a disk centre,
+    which hold every selected disk's lattice point.  Byte-identical for equal
+    inputs."""
     if len(disks) == 0:
         return ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">'
                 '<g class="disks"/></svg>\n')
@@ -46,18 +48,20 @@ def render_svg(disks: DiskSet, assignment: Optional[Assignment] = None,
                      f'fill-opacity="0.55"/>')
     parts.append('</g>')
     if lattice is not None:
-        pts = lattice.points_in_box((xmin, ymin, xmax, ymax))
+        # O(n) cells, whatever the bounding box
+        i, j, _ = _nearest_cells(disks, lattice)
+        cells = list(zip(i.tolist(), j.tolist()))
         if show_cells:
             parts.append('<g class="cells" fill="none" stroke="#888888" '
                          'stroke-width="0.7">')
-            for lp in pts:
-                verts = lattice.cell_polygon(lp.i, lp.j)
+            for a, b in cells:
+                verts = lattice.cell_polygon(a, b)
                 coords = " ".join("%s,%s" % tuple(map(_f, tx(v))) for v in verts)
                 parts.append(f'<polygon points="{coords}"/>')
             parts.append('</g>')
         parts.append('<g class="lattice" fill="#000000">')
-        for lp in pts:
-            cx, cy = tx(lp.position)
+        for a, b in cells:
+            cx, cy = tx(lattice.point(a, b))
             parts.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="2.5"/>')
         parts.append('</g>')
     parts.append('</svg>')

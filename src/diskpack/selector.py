@@ -106,21 +106,16 @@ class OffsetSampling:
             raise InputError(f"grid resolution must be an integer >= 1, got {g!r}")
 
 
-# the k each solver writes; loeschian<K> writes K
-_SOLVER_K = {"basic3": 3, "weighted3": 3, "square2": 2, "rado1": 1}
+# per solver, the k it writes and its guarantee's ``bound_table`` field;
+# loeschian<K> writes K and guarantees ``kcolour_guarantee(K)``
+_SOLVERS = {"basic3": (3, "c3_basic"), "weighted3": (3, "c3_basic"),
+            "square2": (2, "c2_basic"), "rado1": (1, "c1_lb")}
 
 
 def _method_guarantee(method: str, k: int) -> float:
-    table = bound_table()
-    if method == "basic3" or method == "weighted3":
-        return table.c3_basic
-    if method == "rado1":
-        return table.c1_lb
-    if method == "square2":
-        return table.c2_basic
-    if method.startswith("loeschian"):
-        return kcolour_guarantee(k)
-    return 0.0
+    if method in _SOLVERS:
+        return getattr(bound_table(), _SOLVERS[method][1])
+    return kcolour_guarantee(k)
 
 
 def _empty_result(method: str, k: int) -> tuple[Assignment, CoverageReport]:
@@ -182,15 +177,8 @@ def _select_cells(disks: DiskSet, lattice: Lattice,
     row = idx // (4 * n)
     disk = idx // 4 % n
     vx, vy = np.array(lattice.cell).T
-    rx = (x[idx, None] + vx) - centers[disk, 0][:, None]
-    ry = (y[idx, None] + vy) - centers[disk, 1][:, None]
-    bx = np.roll(rx, -1, axis=1)
-    by = np.roll(ry, -1, axis=1)
-    edges = _edge_disk_area_array(rx.ravel(), ry.ravel(), bx.ravel(), by.ravel(),
-                                  r).reshape(rx.shape)
-    area = np.zeros(len(disk))
-    for k in range(len(vx)):
-        area += edges[:, k]
+    area = _clip_cells((x[idx, None] + vx) - centers[disk, 0][:, None],
+                       (y[idx, None] + vy) - centers[disk, 1][:, None], r)
 
     # one run per (offset, lattice point) in (row, j, i) order, ascending
     # disk index within a run; the scan keeps the largest area by > 1e-12
@@ -201,6 +189,17 @@ def _select_cells(disks: DiskSet, lattice: Lattice,
     prow = row[kept]
     return _Selection(np.bincount(prow, area[kept], minlength=m),
                       np.bincount(prow, minlength=m), i[kept], j[kept], disk[kept])
+
+
+def _clip_cells(rx: np.ndarray, ry: np.ndarray, r: float) -> np.ndarray:
+    """Per row, the area of the polygon with vertices (rx, ry) inside the disk
+    of radius r at the origin: its edge terms added in vertex order from 0.0."""
+    edges = _edge_disk_area_array(rx.ravel(), ry.ravel(), np.roll(rx, -1, axis=1).ravel(),
+                                  np.roll(ry, -1, axis=1).ravel(), r).reshape(rx.shape)
+    area = np.zeros(len(rx))
+    for k in range(rx.shape[1]):
+        area += edges[:, k]
+    return area
 
 
 def _select_at(disks: DiskSet, lattice: Lattice):
@@ -250,14 +249,24 @@ def _finish(disks: DiskSet, labels, hits, cell_sum, method, k, info,
     return assignment, report
 
 
+def _position(disks: DiskSet, base: Lattice):
+    """(scale, unit, copies, witness): ``unit``'s distinct disks, in index
+    order, wrapped into ``base``'s cell, and the deepest point.  A coincident
+    disk has the first one's centre, radius and translate group, so it
+    changes no distinct count and no quadtree bound, and its crossings add
+    only zero-length arcs to other rows: the best candidates, and the
+    witness, are those of all the disks.  Selection sees every disk."""
+    scale, unit = _unit_scale(disks)
+    copies = translate_to_cell(unit.subset(np.sort(unit._distinct_rows)), base)
+    return scale, unit, copies, max_distinct_translate_depth(copies, base)
+
+
 def _solve_positioned(disks: DiskSet, base: Lattice, method: str):
     """Count-maximizing positioning, then selection; one colour per lattice colour."""
     k = base.colours
     if len(disks) == 0:
         return _empty_result(method, k)
-    scale, unit = _unit_scale(disks)
-    copies = translate_to_cell(unit, base)
-    witness = max_distinct_translate_depth(copies, base)
+    scale, unit, _, witness = _position(disks, base)
     return _select_scaled(disks, scale, unit, base.at(*witness.point), method, k,
                           witness.distinct_translates)
 
@@ -350,12 +359,7 @@ def _overlap_table(cell: tuple[Point, ...]) -> np.ndarray:
     for row in range(0, len(t), block):
         ty, tx = np.nonzero(np.hypot(t[row:row + block, None], t)
                             <= 1.0 + 2.0 * EPS + _TABLE_STEP)
-        rx = vx - t[tx, None]
-        ry = vy - t[row + ty, None]
-        edges = _edge_disk_area_array(
-            rx.ravel(), ry.ravel(), np.roll(rx, -1, axis=1).ravel(),
-            np.roll(ry, -1, axis=1).ravel(), _TABLE_RADIUS).reshape(rx.shape)
-        table[row + ty, tx] = edges.sum(axis=1)
+        table[row + ty, tx] = _clip_cells(vx - t[tx, None], vy - t[row + ty, None], _TABLE_RADIUS)
     table.flags.writeable = False
     return table
 
@@ -512,10 +516,8 @@ def solve_weighted_3colour(disks: DiskSet,
         sampling = OffsetSampling()
     if len(disks) == 0:
         return _empty_result("weighted3", 3)
-    scale, unit = _unit_scale(disks)
     base = TriLattice(THREE_COLOUR_SIDE)
-    copies = translate_to_cell(unit, base)
-    witness = max_distinct_translate_depth(copies, base)
+    scale, unit, copies, witness = _position(disks, base)
     ox, oy = _candidate_offsets(base, copies, witness.point, sampling.grid_resolution)
 
     bounds = _weight_bounds(unit, base, ox, oy)
@@ -580,13 +582,12 @@ def verify(disks: DiskSet, assignment: Assignment) -> CoverageReport:
     if len(assignment.labels) != len(disks):
         raise InputError("assignment length does not match the disk set")
     method, k = assignment.method, assignment.k
-    if _SOLVER_K.get(method) != k and method != f"loeschian{k}":
+    if _SOLVERS.get(method, (None,))[0] != k and method != f"loeschian{k}":
         raise VerificationError(f"solver {method!r} does not write k={k}")
     for c in assignment.labels:
         if c is not None and not (0 <= c < k):
             raise VerificationError(f"colour {c} outside 0..{k - 1}")
     _check_same_colour(disks, assignment.labels)
-    return CoverageReport(*_areas(disks, assignment),
-                          _method_guarantee(assignment.method, assignment.k),
+    return CoverageReport(*_areas(disks, assignment), _method_guarantee(method, k),
                           assignment.selected_count,
                           assignment.lattice.offset if assignment.lattice else None)

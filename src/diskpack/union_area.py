@@ -77,6 +77,17 @@ class DiskSet:
         return self._centers_array
 
     @functools.cached_property
+    def _distinct_rows(self) -> np.ndarray:
+        """Indices of the distinct centres, in (x, y) order: the first of each
+        run of equal rows, 0.0 and -0.0 alike.  A coincident disk changes
+        neither the union nor a count of distinct translates, so the area
+        kernels and positioning read only these."""
+        order, first = _sorted_runs(self._centers_array[:, 1], self._centers_array[:, 0])
+        out = order[first]
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
     def _union_area(self) -> float:
         return _exact_union_area(self)
 
@@ -240,18 +251,21 @@ def _block_terms(px: np.ndarray, py: np.ndarray, r: float, lo: int, hi: int,
     covered = np.bincount(arc[dist2 < (r - EPS) * (r - EPS)], minlength=len(gc)) > 0
     gc, p1, p2, key = gc[~covered], p1[~covered], p2[~covered], key[~covered]
 
-    def trig(f, a):
-        return np.fromiter(map(f, a.tolist()), dtype=float, count=len(a))
-
     cx = px[gc]
     cy = py[gc]
     terms = 0.5 * (r * r * (p2 - p1)
-                   + r * (cx * (trig(math.sin, p2) - trig(math.sin, p1))
-                          - cy * (trig(math.cos, p2) - trig(math.cos, p1))))
+                   + r * (cx * (_libm(math.sin, p2) - _libm(math.sin, p1))
+                          - cy * (_libm(math.cos, p2) - _libm(math.cos, p1))))
     # a circle without covers sorts before the row that follows it
     alone = count == 0
     terms = np.concatenate([terms, np.full(int(alone.sum()), math.pi * r * r)])
     return terms[np.argsort(np.concatenate([key, 2 * base[alone]]))]
+
+
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """``f`` (``math.sin`` or ``math.cos``) of each element of ``a`` by scalar
+    libm calls: NumPy's SIMD trig may differ from them by an ulp."""
+    return np.fromiter(map(f, a.tolist()), dtype=float, count=len(a))
 
 
 def exact_union_area(disks: DiskSet) -> float:
@@ -261,16 +275,8 @@ def exact_union_area(disks: DiskSet) -> float:
 
 
 def _exact_union_area(disks: DiskSet) -> float:
-    if len(disks) == 0:
-        return 0.0
     r = disks.radius
-    # coincident circles collapse to the first of each run of equal rows in
-    # (x, y) order, the survivors of sorted(set(centers)), 0.0 and -0.0 alike
-    pts = disks.centers_array()
-    order, keep = _sorted_runs(pts[:, 1], pts[:, 0])
-    if len(keep) == 1:
-        return math.pi * r * r
-    px, py = pts[order[keep]].T
+    px, py = disks.centers_array()[disks._distinct_rows].T
     terms = [np.zeros(1)]
     for lo, hi, i, j in _near_pairs(px, py, 2.0 * r):
         terms.append(_block_terms(px, py, r, lo, hi, i, j))
@@ -305,9 +311,7 @@ def monte_carlo_union_area(disks: DiskSet, samples: int, seed: int) -> MCEstimat
     h = ymax - ymin
     box = w * h
     # coincident centres decide every sample alike
-    pts = disks.centers_array()
-    order, keep = _sorted_runs(pts[:, 1], pts[:, 0])
-    cx, cy = pts[order[keep]].T
+    cx, cy = disks.centers_array()[disks._distinct_rows].T
     r2 = disks.radius * disks.radius
     chunk = min(1 << 17, samples)
     kx, ky, status, near, first_row, last_row = _mc_grid(

@@ -28,6 +28,16 @@ class TestRenderSvg:
         assert svg.count("<polygon") >= 1
         assert 'class="cells"' in svg and 'class="lattice"' in svg
 
+    def test_cells_drawn_are_the_occupied_ones(self):
+        # two disks 500 apart: a cell per disk, not one per lattice point of
+        # the bounding box (tens of thousands)
+        ds = DiskSet(1.0, [(0.0, 0.0), (500.0, 500.0)])
+        assignment, _ = solve_basic_3colour(ds)
+        lat = TriLattice(THREE_COLOUR_SIDE, offset=assignment.lattice.offset)
+        svg = render_svg(ds, assignment, lat, show_cells=True)
+        assert svg.count("<polygon") == 2
+        assert svg.split('class="lattice"')[1].count("<circle") == 2
+
     def test_colours_and_grey(self):
         ds = gen_random(9, 4.0, 3)
         assignment, _ = solve_basic_3colour(ds)

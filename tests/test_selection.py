@@ -377,3 +377,46 @@ def test_same_colour_check_pairs_only_coloured_disks(monkeypatch):
     labels = [None, 1, None, None, None, 0, None, 1]
     _verify_check(ds, labels)
     assert seen == [([0.0, 3.0, 9.0], [0.0, 0.0, 1.0])]
+
+
+COINCIDENT_SOLVERS = dict(SOLVERS,
+                          weighted3=lambda d: solve_weighted_3colour(d, OffsetSampling(32)))
+
+
+@pytest.mark.parametrize("method", sorted(COINCIDENT_SOLVERS))
+def test_coincident_copies_change_no_output(method):
+    # 500 copies of the first disk: the first keeps its label, the copies
+    # get none, and the lattice and the report are the base solve's
+    solve = COINCIDENT_SOLVERS[method]
+    base = gen_random(12, 6.85, 3)
+    pts = base.centers_array()
+    ds = DiskSet(1.0, np.concatenate([pts, np.repeat(pts[:1], 500, axis=0)]))
+    want, want_report = solve(base)
+    got, report = solve(ds)
+    assert got.labels == want.labels + (None,) * 500
+    assert got.lattice == want.lattice
+    assert report == want_report
+
+
+def test_coincident_disks_position_in_time_and_memory_bounded_by_the_distinct_ones():
+    # 500 disks at one point: positioning wraps one centre, not 500.  Pushing
+    # every copy through the depth search took 1.5 to 1.7 s and 327 MB
+    ds = gen_clustered(500, 1, 12, 0.0, 0)
+    assert len(set(ds.centers)) == 1
+    want = solve_basic_3colour(DiskSet(1.0, ds.centers_array()[:1]))[0].labels + (None,) * 499
+    elapsed = math.inf
+    for _ in range(3):
+        fresh = DiskSet(1.0, ds.centers_array())
+        t0 = time.perf_counter()
+        assignment, _ = solve_basic_3colour(fresh)
+        elapsed = min(elapsed, time.perf_counter() - t0)
+        assert assignment.labels == want
+    assert elapsed < 0.2
+    fresh = DiskSet(1.0, ds.centers_array())
+    tracemalloc.start()
+    try:
+        solve_basic_3colour(fresh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import time
@@ -7,7 +8,8 @@ import pytest
 
 from diskpack import (DiskSet, InputError, Point, SplitMix64, exact_union_area,
                       gen_chain, gen_clustered, gen_random, gen_spirograph,
-                      lens_area, monte_carlo_union_area, scaled_union_area)
+                      lens_area, monte_carlo_union_area, scaled_union_area,
+                      solve_basic_3colour, verify)
 from diskpack import files, union_area
 from diskpack.union_area import _COVERED, _MIXED, _mc_grid, _near_pairs
 from conftest import (quick_corpus, reference_exact_union_area,
@@ -162,6 +164,25 @@ class TestAreaMemo:
             assert fresh is not ds and files.instance_sha256(fresh) == want
         # once for each set and once for its fresh copy
         assert len(calls) == 2 * len(instances)
+
+    def test_distinct_centres_computed_once_and_shared(self, monkeypatch):
+        calls = []
+        kept = DiskSet.__dict__["_distinct_rows"]
+        counted = functools.cached_property(lambda d: calls.append(d) or kept.func(d))
+        counted.__set_name__(DiskSet, "_distinct_rows")
+        monkeypatch.setattr(DiskSet, "_distinct_rows", counted)
+        base = gen_random(30, 7.0, 4)
+        pts = np.concatenate([base.centers_array(), np.repeat(base.centers_array()[3:5], 40, 0)])
+        runs = [lambda d: exact_union_area(d), lambda d: monte_carlo_union_area(d, 5000, 1),
+                lambda d: verify(d, solve_basic_3colour(d)[0])]
+        for first in range(len(runs)):
+            ds = DiskSet(1.0, pts)
+            for run in runs[first:] + runs[:first]:
+                run(ds)
+            # once for the set, whichever reads it first; the solve's selected
+            # subset is a set of its own
+            assert sum(d is ds for d in calls) == 1
+            assert np.array_equal(ds._distinct_rows, base._distinct_rows)
 
     def test_scaled_set_has_its_own_area(self):
         ds = gen_random(40, 9.0, 5)
